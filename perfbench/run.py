@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import signal
 import statistics
 import sys
 import time
@@ -116,6 +118,72 @@ def run_traced(workload, system, seconds):
             workload.teardown(system)
     workload.check(traced)
     return untraced, traced, layers, recorder
+
+
+def descendants(root: int) -> list[int]:
+    """Every live process below ``root`` in the process tree."""
+    children: dict[int, list[int]] = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path(f"/proc/{entry}/stat").read_text()
+        except OSError:
+            continue
+        # Fields after the parenthesised command name: state, ppid, ...
+        ppid = int(stat.rsplit(")", 1)[1].split()[1])
+        children.setdefault(ppid, []).append(int(entry))
+    found, stack = [], [root]
+    while stack:
+        for pid in children.get(stack.pop(), []):
+            found.append(pid)
+            stack.append(pid)
+    return found
+
+
+def stop_children(grace_s: float = 5.0) -> None:
+    """Stop every process this run started and wait until each has ended.
+
+    The ``resource_tracker`` process that shared memory starts would
+    outlive the run; it ignores SIGTERM, so it is stopped its own way.
+    Anything else still below this process gets SIGTERM, then SIGKILL.
+    """
+    from multiprocessing import resource_tracker
+
+    resource_tracker._resource_tracker._stop()
+    pids = descendants(os.getpid())
+    for pid in pids:
+        try:
+            os.kill(pid, signal.SIGTERM)
+        except ProcessLookupError:
+            pass
+    for pid in pids:
+        if not ended(pid, grace_s):
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            ended(pid, grace_s)
+
+
+def ended(pid: int, timeout_s: float) -> bool:
+    """Wait up to ``timeout_s`` for ``pid`` to end; reap it if it is ours."""
+    deadline = time.monotonic() + timeout_s
+    while True:
+        try:
+            if os.waitpid(pid, os.WNOHANG)[0]:
+                return True
+        except ChildProcessError:
+            # Not our child: ended once gone or a zombie.
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except OSError:
+                return True
+            if stat.rsplit(")", 1)[1].split()[0] == "Z":
+                return True
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
 
 
 def report_line(name, unit, values) -> str:
@@ -221,4 +289,8 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        status = main()
+    finally:
+        stop_children()
+    sys.exit(status)

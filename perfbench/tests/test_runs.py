@@ -1,6 +1,9 @@
-"""Toy-scale runs: metric names, and no wrapper left behind by tracing."""
+"""Toy-scale runs: metric names, no wrapper left behind by tracing, and
+no process left behind by a run."""
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -9,7 +12,7 @@ import pytest
 import run
 from layers import LAYER_METRICS
 from summary import METRIC_NAME
-from tiny import TINY
+from tiny import TINY, TinyProcess
 from workloads import WORKLOADS
 
 BENCHMARK = Path(__file__).resolve().parents[2] / "BENCHMARK.json"
@@ -88,3 +91,13 @@ def test_metric_and_workload_names_match_benchmark_json():
     assert len(set(names)) == len(names)
     for name in names:
         assert METRIC_NAME.fullmatch(name), name
+
+
+def test_stop_children_leaves_no_process_behind():
+    workload = TinyProcess(seed=3)
+    system, _ = run.set_up(workload)
+    run.measure_checked(workload, system, 0.5)
+    sleeper = subprocess.Popen(["sleep", "60"])
+    run.stop_children(grace_s=1.0)
+    assert sleeper.poll() is not None
+    assert run.descendants(os.getpid()) == []

@@ -19,7 +19,7 @@ class TinyInproc(workloads.BatchInproc):
 
 
 class TinyProcess(workloads.BatchProcess, TinyInproc):
-    pass
+    SETUPS = 2
 
 
 class TinyPopulation(workloads.ZipfPopulation):

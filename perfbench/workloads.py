@@ -70,7 +70,8 @@ class Workload:
     """Base class: inputs in ``__init__``, then set-up/measure/check."""
 
     name = ""
-    #: Set-ups per run; ``setup_s`` is their median.
+    #: Set-ups per run; ``setup_s`` is their median.  Each workload
+    #: sizes it to about two seconds of set-up on a 2-CPU x86-64 host.
     SETUPS = 5
 
     def __init__(self, seed: int) -> None:
@@ -141,17 +142,25 @@ def check_lengths(m: Measurement, answers) -> None:
 
 
 def _until(seconds: float):
-    """Yield until ``seconds`` have passed (always at least once)."""
-    start = time.perf_counter()
+    """Yield until ``seconds`` have passed (always at least once).
+
+    Another operation starts only if, at the length of the last one, it
+    ends nearer to ``seconds`` than stopping now would: a run of long
+    operations overshoots by at most half of one.
+    """
+    start = last = time.perf_counter()
     while True:
         yield
-        if time.perf_counter() - start >= seconds:
+        now = time.perf_counter()
+        if now - start + (now - last) / 2 >= seconds:
             break
+        last = now
 
 
 # ----------------------------------------------------------------------
 class GlobalTopK(Workload):
     name = "global-topk"
+    SETUPS = 7
     SCALE = 16
     MACHINES = 16
     FROGS = 800_000
@@ -230,6 +239,7 @@ class GlobalTopK(Workload):
 # ----------------------------------------------------------------------
 class BatchInproc(Workload):
     name = "batch-inproc"
+    SETUPS = 11
     BACKEND = "sharded"
     SCALE = 14
     SHARDS = 2
@@ -338,6 +348,7 @@ class BatchInproc(Workload):
 
 class BatchProcess(BatchInproc):
     name = "batch-process"
+    SETUPS = 9
     BACKEND = "process"
 
     def measure(self, service, seconds: float) -> Measurement:
@@ -439,8 +450,9 @@ class Phase:
     rate: float
     latencies: list[float] = field(default_factory=list)
     late: list[float] = field(default_factory=list)
-    #: Sent but unanswered queries, sampled at every send.
-    backlog: list[int] = field(default_factory=list)
+    #: Sent but unanswered queries, sampled at every send; one list per
+    #: round (each round starts from an empty queue).
+    backlogs: list[list[int]] = field(default_factory=list)
     #: ``pending_count()`` of the scheduler, sampled at every send.
     queued: list[int] = field(default_factory=list)
     answers: list = field(default_factory=list)
@@ -449,18 +461,22 @@ class Phase:
     wall_s: float = 0.0
 
     def growing_backlog(self, batch: int) -> bool:
-        """Unanswered queries in the last third above the first third's
-        by more than a batch."""
-        third = len(self.backlog) // 3
-        if third == 0:
-            return False
-        head = statistics.median(self.backlog[:third])
-        end = statistics.median(self.backlog[-third:])
-        return end > head + batch
+        """In some round, unanswered queries in the last third above the
+        first third's by more than a batch."""
+        for backlog in self.backlogs:
+            third = len(backlog) // 3
+            if third == 0:
+                continue
+            head = statistics.median(backlog[:third])
+            end = statistics.median(backlog[-third:])
+            if end > head + batch:
+                return True
+        return False
 
 
 class ZipfOpen(Workload):
     name = "zipf-open"
+    SETUPS = 15
     SCALE = 14
     MACHINES = 16
     MAX_BATCH = 16
@@ -473,11 +489,16 @@ class ZipfOpen(Workload):
     #: saturation rate (~220 queries/s, where the median latency jumps
     #: past 0.3 s) measured on a 2-CPU x86-64 host.
     RATES = {"lo": 30.0, "mid": 60.0, "hi": 90.0}
+    #: The rates take turns this many times, so each rate's latencies
+    #: are sampled across the whole run, not in one slice of it.
+    ROUNDS = 3
     SLO_S = 0.1
     POPULATION = ZipfPopulation
     POLL_S = 0.001
     DRAIN_S = 3.0
-    MASS_SAMPLE = 16
+    #: Distinct answers scored: ``mass_k100`` varies with the queries a
+    #: seed draws, and 16 left it spreading 0.027 across seeds.
+    MASS_SAMPLE = 32
 
     def __init__(self, seed: int) -> None:
         super().__init__(seed)
@@ -505,7 +526,10 @@ class ZipfOpen(Workload):
         service.close()
 
     def run_phase(self, service, events, phase: Phase) -> None:
+        """One round of ``phase``: send ``events``, then drain."""
         outstanding: list = []
+        backlog: list[int] = []
+        phase.backlogs.append(backlog)
 
         def finish(future, due, now):
             try:
@@ -542,23 +566,26 @@ class ZipfOpen(Workload):
                 finish(future, due, time.perf_counter())
             else:
                 outstanding.append((future, due))
-            phase.backlog.append(len(outstanding))
+            backlog.append(len(outstanding))
         deadline = time.perf_counter() + self.DRAIN_S
         while outstanding and time.perf_counter() < deadline:
             poll(time.perf_counter())
             time.sleep(self.POLL_S)
         phase.failed += len(outstanding)  # timed out
-        phase.wall_s = time.perf_counter() - start
+        phase.wall_s += time.perf_counter() - start
 
     def measure(self, service, seconds: float) -> Measurement:
         m = Measurement()
-        phases = {}
+        phases = {label: Phase(rate) for label, rate in self.RATES.items()}
         bytes_before = service.stats.shared_network_bytes
-        duration = seconds / len(self.RATES)
-        for index, (label, rate) in enumerate(self.RATES.items()):
-            phase = phases[label] = Phase(rate)
-            events = self.population.schedule(rate, index, duration)
-            self.run_phase(service, events, phase)
+        duration = seconds / (len(self.RATES) * self.ROUNDS)
+        index = 0
+        for _ in range(self.ROUNDS):
+            for phase in phases.values():
+                events = self.population.schedule(phase.rate, index, duration)
+                self.run_phase(service, events, phase)
+                index += 1
+        for label, phase in phases.items():
             m.attempted += phase.sent
             m.failed += phase.failed
             m.answered += len(phase.answers)
@@ -613,6 +640,7 @@ class ZipfOpen(Workload):
 # ----------------------------------------------------------------------
 class LiveChurn(Workload):
     name = "live-churn"
+    SETUPS = 7
     SCALE = 14
     MACHINES = 16
     CHURN_RATE = 1e-4
@@ -623,6 +651,9 @@ class LiveChurn(Workload):
     PS = 0.7
     #: Queries per tick scored against exact PPR on that tick's snapshot.
     CHECKS_PER_TICK = 2
+    #: Ticks scored, evenly spaced over the run (exact PPR on a
+    #: snapshot costs about half a tick).
+    CHECKED_TICKS = 16
     POPULATION = ZipfPopulation
 
     def __init__(self, seed: int) -> None:
@@ -695,8 +726,11 @@ class LiveChurn(Workload):
 
     def check(self, m: Measurement) -> None:
         answered, truths = [], []
-        for snapshot, answers in m.counts["checks"]:
+        checks = m.counts["checks"]
+        for _, answers in checks:
             check_lengths(m, answers)
+        step = max(1, -(-len(checks) // self.CHECKED_TICKS))
+        for snapshot, answers in checks[::step]:
             sample = answers[: self.CHECKS_PER_TICK]
             truth = exact_ppr(snapshot, [a.query.seeds for a in sample])
             answered.extend(sample)
