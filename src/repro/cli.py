@@ -45,7 +45,7 @@ import sys
 import time
 
 from . import __version__
-from .core import FrogWildConfig, run_frogwild
+from .core import KERNEL_TIERS, FrogWildConfig, run_frogwild
 from .experiments import (
     ALL_FIGURES,
     livejournal_workload,
@@ -82,12 +82,12 @@ def add_service_args(
     """
     parser.add_argument("--machines", type=int, default=machines)
     parser.add_argument(
-        "--kernel", choices=("fused", "lane-loop", "compiled"),
+        "--kernel", metavar="{" + ",".join(KERNEL_TIERS) + "}",
         default="fused",
         help="batch-kernel tier: 'compiled' runs the Numba single-pass "
              "loops (install the [accel] extra; falls back to 'fused' "
-             "with a warning when numba is absent), 'lane-loop' is the "
-             "pre-fusion reference",
+             "with a warning when numba is absent); any other name "
+             "raises ConfigError",
     )
     parser.add_argument(
         "--backend", choices=("auto", "local", "sharded", "process"),

@@ -7,21 +7,20 @@ for every query.  This module exploits that: a batch of B independent
 populations (each with its own teleport vector, frog budget, seed and
 ``ps``) advances through a **single shared superstep loop**.
 
-The default execution is the **lane-major fused kernel**: frog state is
-one ``(B, n)`` int64 matrix advanced in place, and each superstep runs
+Execution is the **lane-major fused kernel**: frog state is one
+``(B, n)`` int64 matrix advanced in place, and each superstep runs
 apply/death, stranded repair and scatter over a single concatenated
 ``(lane, vertex)`` frontier addressed by lane-offset keys
 (``lane * n + vertex``), so every ``bincount``/gather/scatter pass
 touches all populations at once instead of once per lane.  Only the
-random draws stay per-lane — each population owns an rng seeded exactly
-like the single-query runner's and consumes it in the same order — so a
-batch of size one is **bit-identical** to
-:class:`~repro.core.frogwild.FrogWildRunner` under the same seed, and
-every lane of a larger batch is bit-identical to its standalone run.
-The pre-fusion per-lane loop survives as the ``kernel="lane-loop"``
-reference implementation; ``tests/test_batch_kernel.py`` pins the two
-kernels to each other bit for bit and ``benchmarks/bench_batch_kernel.py``
-measures the fusion speedup.
+random draws stay per-lane — each population owns an rng on the
+``[104, seed]`` stream and consumes it in its standalone order — so
+every lane of a batch is bit-identical to its standalone run.  The
+single-query :class:`~repro.core.FrogWildRunner` is a B=1 facade over
+this runner, so this module holds the one numpy FrogWild superstep;
+the ``"compiled"`` tier of :mod:`repro.core.kernels` accelerates its
+deterministic passes, and ``tests/test_superstep_digests.py`` pins the
+output of both with golden digests.
 
 Per superstep the batch pays once for
 
@@ -76,16 +75,7 @@ from ..graph import DiGraph
 from .config import FrogWildConfig
 from .erasures import make_erasure_model
 from .estimator import PageRankEstimate
-from .frogwild import (
-    FrogWildResult,
-    _choose_repair_positions,
-    _gather_groups,
-    _kernel_tables,
-    _ranges_to_indices,
-    _scatter_binomial,
-    _scatter_multinomial,
-)
-from .kernels import KERNEL_TIERS, CompiledPasses, CompiledTables, resolve_kernel
+from .kernels import CompiledPasses, CompiledTables, resolve_kernel
 
 __all__ = [
     "BatchQuery",
@@ -95,7 +85,113 @@ __all__ = [
     "run_frogwild_batch",
 ]
 
-_KERNELS = KERNEL_TIERS
+
+@dataclass(frozen=True)
+class FrogWildResult:
+    """Estimate plus execution report of one FrogWild run.
+
+    ``ledger`` carries the raw per-population cost attribution when the
+    run was a lane of a batched execution (None for single runs); the
+    sharded serving backend merges shard lanes through it.
+    """
+
+    estimate: PageRankEstimate
+    report: RunReport
+    state: ClusterState
+    ledger: CostLedger | None = None
+
+
+def _ranges_to_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenate ``arange(s, s + l)`` for every (s, l) pair, vectorized."""
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+    return (
+        np.repeat(starts - offsets, lengths) + np.arange(total, dtype=np.int64)
+    )
+
+
+def _unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)`` by sort plus an adjacent-difference mask.
+
+    Without ``return_*`` flags numpy 2.x's ``np.unique`` takes a
+    hash-based path that is ~40x slower than sorting on the int64 key
+    arrays of this kernel; the output is identical.
+    """
+    keys = np.sort(keys)
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
+class _KernelTables:
+    """Flat read-only views of the partitioned graph used per superstep.
+
+    Built once per *ingress* (see :func:`_kernel_tables`) and shared by
+    every runner on it; every array indexes the (vertex, machine)-sorted
+    out-edge grouping of :class:`~repro.cluster.ReplicationTable`.
+    """
+
+    __slots__ = (
+        "masters",
+        "vertex_ptr",
+        "group_machine",
+        "group_start",
+        "group_sizes",
+        "edge_target",
+        "edge_host",
+        "out_degree",
+    )
+
+    def __init__(self, replication, out_degree: np.ndarray) -> None:
+        og = replication.out_groups
+        self.masters = replication.masters
+        self.vertex_ptr = og.vertex_ptr
+        self.group_machine = og.group_machine.astype(np.int64)
+        self.group_start = og.group_start
+        self.group_sizes = og.group_sizes()
+        self.edge_target = og.sorted_other
+        self.edge_host = og.edge_machine_sorted.astype(np.int64)
+        self.out_degree = np.asarray(out_degree, dtype=np.int64)
+
+
+def _kernel_tables(state: ClusterState) -> _KernelTables:
+    """The per-ingress cached :class:`_KernelTables` of ``state``.
+
+    The tables derive purely from the replication tables, so states
+    sharing one ingress (the serving layer builds a fresh accounting
+    state per dispatched batch) share one build instead of paying the
+    flat-view construction on every batch.
+    """
+    return state.ingress_cache(
+        "kernel_tables",
+        lambda: _KernelTables(state.replication, state.graph.out_degree()),
+    )
+
+
+def prime_ingress_caches(replication, graph) -> None:
+    """Pre-seed ``replication``'s per-ingress derived-structure cache.
+
+    Fills the entries :meth:`~repro.engine.ClusterState.ingress_cache`
+    would otherwise build lazily on the first batch after an ingress
+    appears: the flat kernel tables and the mirror bitmap.  The live
+    refresh pipeline (:class:`~repro.live.IncrementalReplication`) calls
+    this off the query path after patching a table, so a freshly
+    published epoch serves its first batch with warm tables — the group
+    arrays the kernel tables view were spliced, not recomputed, for
+    every vertex the refresh did not touch.  Idempotent: existing cache
+    entries are kept.
+    """
+    cache = replication._ingress_cache
+    if "kernel_tables" not in cache:
+        cache["kernel_tables"] = _KernelTables(
+            replication, graph.out_degree()
+        )
+    if "mirror_matrix" not in cache:
+        cache["mirror_matrix"] = MirrorSynchronizer.mirror_matrix_for(
+            replication
+        )
 
 
 def _charge_stack(
@@ -106,8 +202,7 @@ def _charge_stack(
     One vectorized pass computes every lane's off-diagonal record and
     message counts (equivalent to per-lane
     :meth:`~repro.engine.CostLedger.charge_pair_records` calls); sync
-    and repair records additionally bill one CPU op per record, like
-    the single-query runner.
+    and repair records additionally bill one CPU op per record.
     """
     num_machines = stack.shape[1]
     off_diagonal = stack.copy()
@@ -193,18 +288,12 @@ class _Lane:
         "seed",
         "start_distribution",
         "rng",
-        "synchronizer",
         "ledger",
-        "sv",
-        "k_sv",
         "finished_at",
         "sim_time_s",
     )
 
     def __init__(self) -> None:
-        self.sv = None
-        self.k_sv = None
-        self.synchronizer = None
         self.finished_at = None
         self.sim_time_s = 0.0
 
@@ -224,13 +313,14 @@ class BatchedFrogWildRunner:
     (default) advances all lanes through one concatenated numpy pass,
     ``"compiled"`` runs the same superstep through the Numba-jitted
     single-pass loops of :mod:`repro.core.kernels` (falling back to
-    ``"fused"`` with one warning when Numba is absent), and
-    ``"lane-loop"`` is the pre-fusion per-lane reference the fused
-    kernel is regression-pinned against.  All tiers produce
-    bit-identical results (the compiled tier consumes the exact same
-    per-lane numpy random streams and only replaces deterministic
-    passes); shared sync and wire dedupe require the fused or compiled
-    kernel.
+    ``"fused"`` with one warning when Numba is absent).  Both tiers
+    produce bit-identical results: the compiled tier consumes the exact
+    same per-lane numpy random streams and only replaces deterministic
+    passes.
+
+    Subclasses inject behaviour through two hooks,
+    :meth:`_begin_superstep` and :meth:`_post_scatter`; fault injection
+    (:mod:`repro.faults`) is built on them.
     """
 
     def __init__(
@@ -248,20 +338,12 @@ class BatchedFrogWildRunner:
         self.kernel = kernel
         self.shared_sync_mode = config.sync_mode == "shared"
         self.wire_dedupe = config.wire_dedupe
-        if kernel == "lane-loop" and (
-            self.shared_sync_mode or self.wire_dedupe
-        ):
-            raise ConfigError(
-                "shared sync and wire dedupe are fused-kernel modes; "
-                "the lane-loop reference kernel supports only the "
-                "default per-lane configuration"
-            )
         self.tables = _kernel_tables(state)
         self.erasure = make_erasure_model(config.erasure_model)
         size_model = state.fabric.size_model
-        # One mirror bitmap shared by every population's synchronizer
-        # (and across batches: it is the per-ingress cached bitmap, so
-        # synchronizers fork a private copy before any disable).
+        # One mirror bitmap read by every population's sync coins (and
+        # across batches: it is the per-ingress cached bitmap, so it is
+        # never written in place — a crash forks a private copy).
         mirror_matrix = MirrorSynchronizer.shared_mirror_matrix(state)
         self._mirror_matrix = mirror_matrix
         n = state.num_vertices
@@ -300,19 +382,11 @@ class BatchedFrogWildRunner:
                         "start_distribution must be a probability distribution"
                     )
             lane.start_distribution = distribution
-            # Same stream derivation as the single-query runner, so a
-            # B=1 batch replays its exact coin sequence.
+            # Distinct seed stream from the cluster components (partition,
+            # master selection) that may have received the same seed.
             lane.rng = np.random.default_rng(
                 lane.seed if lane.seed is None else [104, lane.seed]
             )
-            if not self.shared_sync_mode:
-                lane.synchronizer = MirrorSynchronizer(
-                    state,
-                    lane.ps,
-                    lane.rng,
-                    mirror_matrix=mirror_matrix,
-                    copy_on_disable=True,
-                )
             lane.ledger = CostLedger(
                 record_bytes=size_model.record_bytes(),
                 message_header_bytes=size_model.message_header_bytes,
@@ -365,6 +439,24 @@ class BatchedFrogWildRunner:
     # ------------------------------------------------------------------
     def run(self) -> BatchedFrogWildResult:
         """Run the shared superstep loop and return per-query results."""
+        self._execute()
+        results = []
+        for lane in self.lanes:
+            estimate = PageRankEstimate(
+                self.counts[lane.index], lane.num_frogs
+            )
+            results.append(
+                FrogWildResult(
+                    estimate, self._lane_report(lane), self.state, lane.ledger
+                )
+            )
+        return BatchedFrogWildResult(
+            tuple(results), self._batch_report(), self.state
+        )
+
+    def _execute(self) -> None:
+        """Birth, the superstep loop and the cut-off count into
+        ``self.counts``."""
         state = self.state
         cfg = self.config
         n = state.num_vertices
@@ -381,47 +473,50 @@ class BatchedFrogWildRunner:
                 )
             self.frogs[lane.index] = np.bincount(birth, minlength=n)
 
-        if self.kernel in ("fused", "compiled"):
-            # Both concatenated kernels carry the frontier as
-            # (lane, vertex, count) arrays between supersteps instead
-            # of rescanning the (B, n) matrix; the matrix is
-            # materialized once after the loop for the cut-off count.
-            superstep = (
-                self._superstep_fused
-                if self.kernel == "fused"
-                else self._superstep_compiled
-            )
-            lane_ids, verts = np.nonzero(self.frogs)
-            frontier = (lane_ids, verts, self.frogs[lane_ids, verts])
-            for step in range(cfg.iterations):
-                frontier = superstep(step, frontier)
-                if frontier is None:
-                    frontier = (None, None, None)
-                    break
+        # The frontier travels as (lane, vertex, count) arrays between
+        # supersteps instead of rescanning the (B, n) matrix; the matrix
+        # is materialized once after the loop for the cut-off count.
+        superstep = (
+            self._superstep_fused
+            if self.kernel == "fused"
+            else self._superstep_compiled
+        )
+        lane_ids, verts = np.nonzero(self.frogs)
+        frontier = (lane_ids, verts, self.frogs[lane_ids, verts])
+        for step in range(cfg.iterations):
+            frontier = superstep(step, self._begin_superstep(step, frontier))
+            if frontier is None:
+                break
+        self.frogs[...] = 0
+        if frontier is not None:
             lane_ids, verts, k = frontier
-            self.frogs[...] = 0
-            if lane_ids is not None and lane_ids.size:
-                self.frogs.reshape(-1)[lane_ids * n + verts] = k
-        else:
-            for step in range(cfg.iterations):
-                if not self._superstep_lane_loop(step):
-                    break
-
+            self.frogs.reshape(-1)[lane_ids * n + verts] = k
         # Cut-off: survivors are counted where they stand (Process 15).
         self.counts += self.frogs
-        results = []
-        for lane in self.lanes:
-            estimate = PageRankEstimate(
-                self.counts[lane.index], lane.num_frogs
-            )
-            results.append(
-                FrogWildResult(
-                    estimate, self._lane_report(lane), state, lane.ledger
-                )
-            )
-        return BatchedFrogWildResult(
-            tuple(results), self._batch_report(), state
-        )
+
+    # ------------------------------------------------------------------
+    # Subclass hooks (fault injection lives in repro.faults)
+    # ------------------------------------------------------------------
+    def _begin_superstep(
+        self,
+        step: int,
+        frontier: tuple[np.ndarray, np.ndarray, np.ndarray],
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pre-superstep hook on the lane-major ``(lane, vertex, count)``
+        frontier; returns the (possibly modified) frontier, which must
+        stay sorted by (lane, vertex) with positive counts.  The base
+        runner is fault-free: identity."""
+        return frontier
+
+    def _post_scatter(
+        self, dest: np.ndarray, host: np.ndarray, frog_lane: np.ndarray
+    ) -> np.ndarray | None:
+        """Post-scatter hook on the per-frog hop arrays (destination,
+        hosting machine, lane), called after the frog records were
+        charged — a dropped frog's message was still sent.  Returns a
+        keep-mask over the hops, or None to deliver every frog (the
+        base runner).  Only the fused kernel calls it."""
+        return None
 
     # ------------------------------------------------------------------
     def _flush_round(
@@ -431,7 +526,7 @@ class BatchedFrogWildRunner:
         frog_records: np.ndarray,
         scatter_ops: np.ndarray,
     ) -> None:
-        """Flush one round's physical traffic (same order as pre-fusion)."""
+        """Flush one round's physical traffic: sync, repair, scatter."""
         state = self.state
         if sync_records.any():
             state.send_pair_matrix(sync_records, kind="sync")
@@ -483,8 +578,8 @@ class BatchedFrogWildRunner:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The ps coin pass, shared by the fused and compiled kernels.
 
-        Draws every sync coin (per-lane or batch-shared) in exactly the
-        single-query runner's stream order and returns the ``fresh``
+        Draws every sync coin (per-lane or batch-shared) in each lane's
+        standalone stream order and returns the ``fresh``
         mirror matrix of the concatenated frontier plus the physical
         and per-lane sync record matrices.  Living in one method keeps
         the two concatenated kernels consuming identical randomness —
@@ -524,7 +619,7 @@ class BatchedFrogWildRunner:
         else:
             # One coin per (vertex, mirror) in the union frontier: the
             # physical sync traffic is independent of the batch size.
-            union_verts = np.unique(vert_sv)
+            union_verts = _unique(vert_sv)
             fresh_u, synced_u = self.shared_sync.draw_fresh(union_verts)
             position = np.searchsorted(union_verts, vert_sv)
             fresh = fresh_u[position]
@@ -790,7 +885,7 @@ class BatchedFrogWildRunner:
         frog_records = np.zeros((num_machines, num_machines), dtype=np.int64)
         lane_frog = None
         if dest.size:
-            unique_keys = np.unique(
+            unique_keys = _unique(
                 (frog_lane * num_machines + host) * n + dest
             )
             lane_u = unique_keys // (num_machines * n)
@@ -805,7 +900,7 @@ class BatchedFrogWildRunner:
             if self.wire_dedupe:
                 # Lanes aiming at the same (host, destination) share one
                 # physical wire record; the shares below hand it back.
-                phys_keys = np.unique(pair_u[remote])
+                phys_keys = _unique(pair_u[remote])
                 phys_host = phys_keys // n
                 phys_master = masters[phys_keys % n].astype(np.int64)
                 frog_records = np.bincount(
@@ -827,10 +922,17 @@ class BatchedFrogWildRunner:
             scatter_ops.astype(np.int64),
         )
 
+        keep = self._post_scatter(dest, host, frog_lane)
+        if keep is not None:
+            # Per-frog keys (weight one each) so the mask addresses
+            # single frogs in both scatter modes.
+            hop_keys = (frog_lane * n + dest)[keep]
+            hop_weights = None
+
         # -------- next frontier: one compressed reduction --------------
         if idle_keys is None and hop_weights is None:
-            # Hot path (multinomial, no idling): every hop lands one
-            # frog, so the unique pass yields the counts directly.
+            # Hot path (one frog per key, no idling): the unique pass
+            # yields the counts directly.
             if hop_keys.size == 0:
                 empty = np.empty(0, dtype=np.int64)
                 return empty, empty, empty
@@ -1241,192 +1343,6 @@ class BatchedFrogWildRunner:
         )
 
     # ------------------------------------------------------------------
-    # Lane-loop reference kernel (pre-fusion implementation)
-    # ------------------------------------------------------------------
-    def _superstep_lane_loop(self, step: int) -> bool:
-        """One superstep of the per-lane reference implementation."""
-        state = self.state
-        cfg = self.config
-        masters = self.tables.masters
-        n = state.num_vertices
-        num_machines = state.num_machines
-
-        live: list[tuple[_Lane, np.ndarray]] = []
-        active_union = np.zeros(n, dtype=bool)
-        for lane in self.lanes:
-            if lane.finished_at is not None:
-                continue
-            active_idx = np.flatnonzero(self.frogs[lane.index])
-            if active_idx.size == 0:
-                lane.finished_at = step
-                continue
-            live.append((lane, active_idx))
-            active_union[active_idx] = True
-        if not live:
-            return False
-
-        # ---------------- apply(): per-population deaths -----------
-        apply_ops = np.zeros(num_machines, dtype=np.int64)
-        scatter_mask = np.zeros(n, dtype=bool)
-        for lane, active_idx in live:
-            k_active = self.frogs[lane.index, active_idx]
-            dead = lane.rng.binomial(k_active, cfg.p_teleport)
-            self.counts[lane.index, active_idx] += dead
-            survivors = k_active - dead
-            ops = np.bincount(
-                masters[active_idx], weights=k_active, minlength=num_machines
-            ).astype(np.int64)
-            apply_ops += ops
-            lane.ledger.charge_ops(int(ops.sum()))
-            moving = survivors > 0
-            lane.sv = active_idx[moving]
-            lane.k_sv = survivors[moving].astype(np.int64)
-            scatter_mask[lane.sv] = True
-        state.charge_many(apply_ops, phase="apply")
-
-        sv_union = np.flatnonzero(scatter_mask)
-        if sv_union.size:
-            self._scatter_phase(live, sv_union)
-        else:
-            for lane, _ in live:
-                self.frogs[lane.index] = 0
-
-        self._close_superstep(
-            [lane for lane, _ in live], int(active_union.sum())
-        )
-        return True
-
-    def _scatter_phase(
-        self, live: list[tuple[_Lane, np.ndarray]], sv_union: np.ndarray
-    ) -> None:
-        """Sync + scatter every live population over one shared gather.
-
-        The union frontier is gathered once; each population's group
-        view is a boolean slice of it.  Physical accounting (pair
-        matrices, CPU vectors) is summed across populations and flushed
-        once, in the same round structure as the single-query runner
-        (sync, then repair, then scatter) so a B=1 batch produces the
-        identical message sequence.
-        """
-        state = self.state
-        cfg = self.config
-        tables = self.tables
-        masters = tables.masters
-        n = state.num_vertices
-        num_machines = state.num_machines
-
-        view_union = _gather_groups(tables, sv_union)
-        position_of = np.full(n, -1, dtype=np.int64)
-        position_of[sv_union] = np.arange(sv_union.size, dtype=np.int64)
-
-        sync_records = np.zeros((num_machines, num_machines), dtype=np.int64)
-        repair_records = np.zeros((num_machines, num_machines), dtype=np.int64)
-        frog_records = np.zeros((num_machines, num_machines), dtype=np.int64)
-        scatter_ops = np.zeros(num_machines, dtype=np.int64)
-
-        for lane, _ in live:
-            next_frogs = np.zeros(n, dtype=np.int64)
-            sv, k_sv = lane.sv, lane.k_sv
-            lane.sv = lane.k_sv = None
-            if sv.size == 0:
-                self.frogs[lane.index] = next_frogs
-                continue
-            member_rows = position_of[sv]
-            if member_rows.size == sv_union.size:
-                view = view_union
-            else:
-                member_mask = np.zeros(sv_union.size, dtype=bool)
-                member_mask[member_rows] = True
-                view = view_union.select(member_rows, member_mask)
-
-            # -------- <sync>: this population's ps coins ---------------
-            fresh, synced = lane.synchronizer.draw_fresh(sv)
-            records = sync_pair_records(masters[sv], synced, num_machines)
-            sync_records += records
-            lane.ledger.charge_pair_records(records)
-            lane.ledger.charge_ops(int(records.sum()))
-
-            enabled_grp = fresh[view.grp_vertex_pos, view.grp_machine]
-            enabled_per_vertex = np.bincount(
-                view.grp_vertex_pos, weights=enabled_grp, minlength=sv.size
-            ).astype(np.int64)
-            stranded = enabled_per_vertex == 0
-            if stranded.any():
-                if self.erasure.repairs_empty:
-                    bad = np.flatnonzero(stranded)
-                    # Dangling vertices (no out-groups) cannot be
-                    # repaired: their frogs idle in place this step.
-                    dangling = view.g_count[bad] == 0
-                    if dangling.any():
-                        idle = bad[dangling]
-                        next_frogs[sv[idle]] += k_sv[idle]
-                        k_sv = k_sv.copy()
-                        k_sv[idle] = 0
-                        bad = bad[~dangling]
-                    if bad.size:
-                        flat_pos = _choose_repair_positions(
-                            lane.rng, view.g_count, bad
-                        )
-                        enabled_grp = enabled_grp.copy()
-                        enabled_grp[flat_pos] = True
-                        machines = view.grp_machine[flat_pos]
-                        sources = masters[sv[bad]].astype(np.int64)
-                        remote = machines != sources
-                        if remote.any():
-                            extra = np.bincount(
-                                sources[remote] * num_machines
-                                + machines[remote],
-                                minlength=num_machines**2,
-                            ).reshape(num_machines, num_machines)
-                            repair_records += extra
-                            lane.ledger.charge_pair_records(extra)
-                            lane.ledger.charge_ops(int(extra.sum()))
-                else:
-                    next_frogs[sv[stranded]] += k_sv[stranded]
-                    k_sv = k_sv.copy()
-                    k_sv[stranded] = 0
-
-            # -------- scatter(): this population's hops ----------------
-            if cfg.scatter_mode == "multinomial":
-                dest, host = _scatter_multinomial(
-                    lane.rng, tables, view, enabled_grp, sv, k_sv, next_frogs
-                )
-            else:
-                dest, host = _scatter_binomial(
-                    lane.rng, lane.ps, tables, view, enabled_grp, sv, k_sv,
-                    next_frogs,
-                )
-            if dest.size:
-                ops = np.bincount(host, minlength=num_machines)
-            else:
-                ops = np.zeros(num_machines, dtype=np.int64)
-            ops += np.bincount(
-                view.grp_machine[enabled_grp], minlength=num_machines
-            )
-            scatter_ops += ops.astype(np.int64)
-            lane.ledger.charge_ops(int(ops.sum()))
-
-            if dest.size:
-                pair_keys = np.unique(host * n + dest)
-                host_unique = pair_keys // n
-                dest_master = masters[pair_keys % n].astype(np.int64)
-                remote = host_unique != dest_master
-                if remote.any():
-                    records = np.bincount(
-                        host_unique[remote] * num_machines
-                        + dest_master[remote],
-                        minlength=num_machines**2,
-                    ).reshape(num_machines, num_machines)
-                    frog_records += records
-                    lane.ledger.charge_pair_records(records)
-            self.frogs[lane.index] = next_frogs
-
-        # -------- physical flush: whole batch, once per round ----------
-        self._flush_round(
-            sync_records, repair_records, frog_records, scatter_ops
-        )
-
-    # ------------------------------------------------------------------
     def _lane_report(self, lane: _Lane) -> RunReport:
         state = self.state
         cfg = self.config
@@ -1571,9 +1487,9 @@ def run_frogwild_batch(
     Mirrors :func:`repro.core.run_frogwild`: pass a prebuilt ``state``
     to reuse an ingress across batches (the serving layer does), or let
     this build one.  ``kernel`` selects the fused lane-major kernel
-    (default), the per-lane ``"lane-loop"`` reference implementation,
-    or the Numba ``"compiled"`` tier (see :mod:`repro.core.kernels`;
-    falls back to fused with a warning when numba is absent).
+    (default) or the Numba ``"compiled"`` tier (see
+    :mod:`repro.core.kernels`; falls back to fused with a warning when
+    numba is absent).
     """
     config = config or FrogWildConfig()
     if state is None:

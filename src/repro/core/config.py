@@ -53,8 +53,8 @@ class FrogWildConfig:
     sync_mode:
         Batched-execution sync-coin sharing.  ``"per-lane"`` (default)
         flips the paper's ``ps`` coins independently per frog
-        population, which keeps a B=1 batch bitwise-identical to the
-        single-query runner and allows per-query ``ps``.  ``"shared"``
+        population, which keeps every lane bitwise-identical to its
+        standalone run and allows per-query ``ps``.  ``"shared"``
         flips **one** coin stream for the whole batch: each barrier
         emits exactly one sync record per (vertex, mirror) regardless
         of the batch size — the remaining sync traffic is ~1/B of
@@ -62,12 +62,12 @@ class FrogWildConfig:
         cross-query estimator correlation (the erasure processes of
         the populations are no longer independent; Lemma 18's variance
         argument applies per query but errors now co-fluctuate).
-        The field only affects :mod:`repro.core.batched`
-        (:class:`~repro.core.FrogWildRunner` ignores it), and shared
-        coins come from a dedicated batch-level stream: even a B=1
-        batch samples different (equally valid) coins than per-lane
-        mode under the same seed — the bitwise B=1 equivalence with
-        the single-query runner holds in the default mode only.
+        The single-query :class:`~repro.core.FrogWildRunner` facade
+        forces ``"per-lane"``.  Shared coins come from a dedicated
+        batch-level stream: even a B=1 batch samples different (equally
+        valid) coins than per-lane mode under the same seed — the
+        bitwise B=1 equivalence with the single-query runner holds in
+        the default mode only.
     wire_dedupe:
         When True, frog records of different populations addressed to
         the same (hosting machine, destination vertex) in one superstep
@@ -77,12 +77,13 @@ class FrogWildConfig:
         proportionally to the records each would have sent alone, using
         exact largest-remainder apportionment, so per-lane attributed
         records always sum to the physical count.  Only affects batched
-        execution; a single population already combines its own frogs.
+        execution; a single population already combines its own frogs
+        (the :class:`~repro.core.FrogWildRunner` facade forces False).
 
     Notes
     -----
-    Kernel-tier selection (``"lane-loop"`` / ``"fused"`` / the Numba
-    ``"compiled"`` tier) is deliberately *not* a config field: the
+    Kernel-tier selection (``"fused"`` / the Numba ``"compiled"``
+    tier) is deliberately *not* a config field: the
     tiers are bitwise-identical implementations of the same semantics,
     so the choice is an execution detail carried by the ``kernel=``
     kwarg of the runner and the serving backends (see

@@ -24,286 +24,43 @@ Implementation notes mirrored from the paper (Section 3.3):
   actual implementation); ``binomial`` mode follows the pseudocode
   literally with an independent Bin(K, 1/(d_out ps)) per enabled edge.
 
-The superstep kernel is factored into module-level helpers
-(:class:`_KernelTables`, :class:`_GroupView` and the ``_scatter_*``
-functions) shared with :mod:`repro.core.batched`, which advances B
-independent frog populations through a single traversal per superstep.
-Edge-level work is expanded for *enabled* machine-groups only, so a run
-at ``ps < 1`` never materializes the disabled part of the frontier.
+The runner is a one-query facade over
+:class:`~repro.core.batched.BatchedFrogWildRunner`: the population is
+lane 0 of the fused lane-major kernel, which holds the one numpy
+superstep.  Edge-level work is expanded for *enabled* machine-groups
+only, so a run at ``ps < 1`` never materializes the disabled part of
+the frontier.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..cluster import CostModel, EdgePartition, MessageSizeModel
-from ..engine import (
-    ClusterState,
-    CostLedger,
-    MirrorSynchronizer,
-    RunReport,
-    build_cluster,
-)
-from ..errors import EngineError
+from ..engine import ClusterState, RunReport, build_cluster
 from ..graph import DiGraph
+from .batched import BatchedFrogWildRunner, BatchQuery, FrogWildResult
+
+# The kernel helpers live with the one superstep in .batched; importers
+# of this module (spill, live ingress, perfbench) keep their paths.
+from .batched import _kernel_tables as _kernel_tables
+from .batched import _KernelTables as _KernelTables
+from .batched import _ranges_to_indices as _ranges_to_indices
+from .batched import prime_ingress_caches as prime_ingress_caches
 from .config import FrogWildConfig
-from .erasures import make_erasure_model
 from .estimator import PageRankEstimate
 
 __all__ = ["FrogWildResult", "FrogWildRunner", "run_frogwild"]
 
 
-@dataclass(frozen=True)
-class FrogWildResult:
-    """Estimate plus execution report of one FrogWild run.
+class FrogWildRunner(BatchedFrogWildRunner):
+    """Executes FrogWild on a prepared simulated cluster.
 
-    ``ledger`` carries the raw per-population cost attribution when the
-    run was a lane of a batched execution (None for single runs); the
-    sharded serving backend merges shard lanes through it.
+    One population on the batched runner's fused kernel, under per-lane
+    sync and without wire dedupe (the shared-record modes mean nothing
+    for a single population).  The report covers this run only, even
+    on a ``state`` that earlier runs already used.
     """
-
-    estimate: PageRankEstimate
-    report: RunReport
-    state: ClusterState
-    ledger: CostLedger | None = None
-
-
-def _ranges_to_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenate ``arange(s, s + l)`` for every (s, l) pair, vectorized."""
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-    return (
-        np.repeat(starts - offsets, lengths) + np.arange(total, dtype=np.int64)
-    )
-
-
-class _KernelTables:
-    """Flat read-only views of the partitioned graph used per superstep.
-
-    Built once per *ingress* (see :func:`_kernel_tables`) and shared by
-    the single-query and batched runners; every array indexes the
-    (vertex, machine)-sorted out-edge grouping of
-    :class:`~repro.cluster.ReplicationTable`.
-    """
-
-    __slots__ = (
-        "masters",
-        "vertex_ptr",
-        "group_machine",
-        "group_start",
-        "group_sizes",
-        "edge_target",
-        "edge_host",
-        "out_degree",
-    )
-
-    def __init__(self, replication, out_degree: np.ndarray) -> None:
-        og = replication.out_groups
-        self.masters = replication.masters
-        self.vertex_ptr = og.vertex_ptr
-        self.group_machine = og.group_machine.astype(np.int64)
-        self.group_start = og.group_start
-        self.group_sizes = og.group_sizes()
-        self.edge_target = og.sorted_other
-        self.edge_host = og.edge_machine_sorted.astype(np.int64)
-        self.out_degree = np.asarray(out_degree, dtype=np.int64)
-
-
-def _kernel_tables(state: ClusterState) -> _KernelTables:
-    """The per-ingress cached :class:`_KernelTables` of ``state``.
-
-    The tables derive purely from the replication tables, so states
-    sharing one ingress (the serving layer builds a fresh accounting
-    state per dispatched batch) share one build instead of paying the
-    flat-view construction on every batch.
-    """
-    return state.ingress_cache(
-        "kernel_tables",
-        lambda: _KernelTables(state.replication, state.graph.out_degree()),
-    )
-
-
-def prime_ingress_caches(replication, graph) -> None:
-    """Pre-seed ``replication``'s per-ingress derived-structure cache.
-
-    Fills the entries :meth:`~repro.engine.ClusterState.ingress_cache`
-    would otherwise build lazily on the first batch after an ingress
-    appears: the flat kernel tables and the mirror bitmap.  The live
-    refresh pipeline (:class:`~repro.live.IncrementalReplication`) calls
-    this off the query path after patching a table, so a freshly
-    published epoch serves its first batch with warm tables — the group
-    arrays the kernel tables view were spliced, not recomputed, for
-    every vertex the refresh did not touch.  Idempotent: existing cache
-    entries are kept.
-    """
-    cache = replication._ingress_cache
-    if "kernel_tables" not in cache:
-        cache["kernel_tables"] = _KernelTables(
-            replication, graph.out_degree()
-        )
-    if "mirror_matrix" not in cache:
-        cache["mirror_matrix"] = MirrorSynchronizer.mirror_matrix_for(
-            replication
-        )
-
-
-class _GroupView:
-    """Machine-grouped out-edges of one scatter set, in (vertex, machine)
-    order.
-
-    ``grp_idx`` are rows into the global group tables; ``grp_vertex_pos``
-    maps each row to the position of its vertex within the scatter set;
-    ``g_count`` is the number of groups per scattering vertex.
-    """
-
-    __slots__ = ("grp_idx", "grp_vertex_pos", "grp_machine", "grp_sizes", "g_count")
-
-    def __init__(
-        self,
-        grp_idx: np.ndarray,
-        grp_vertex_pos: np.ndarray,
-        grp_machine: np.ndarray,
-        grp_sizes: np.ndarray,
-        g_count: np.ndarray,
-    ) -> None:
-        self.grp_idx = grp_idx
-        self.grp_vertex_pos = grp_vertex_pos
-        self.grp_machine = grp_machine
-        self.grp_sizes = grp_sizes
-        self.g_count = g_count
-
-    def select(self, member_rows: np.ndarray, member_mask: np.ndarray) -> "_GroupView":
-        """Sub-view for the subset of vertices at ``member_rows``.
-
-        ``member_rows`` are sorted positions into this view's scatter
-        set and ``member_mask`` is their boolean form; the result is
-        exactly the view :func:`_gather_groups` would build for the
-        subset, without re-touching the global tables.
-        """
-        sel = member_mask[self.grp_vertex_pos]
-        g_count = self.g_count[member_rows]
-        return _GroupView(
-            self.grp_idx[sel],
-            np.repeat(np.arange(member_rows.size, dtype=np.int64), g_count),
-            self.grp_machine[sel],
-            self.grp_sizes[sel],
-            g_count,
-        )
-
-
-def _gather_groups(tables: _KernelTables, sv: np.ndarray) -> _GroupView:
-    """Gather the machine-groups of the scattering vertices ``sv``."""
-    g_lo = tables.vertex_ptr[sv]
-    g_count = tables.vertex_ptr[sv + 1] - g_lo
-    grp_idx = _ranges_to_indices(g_lo, g_count)
-    grp_vertex_pos = np.repeat(np.arange(sv.size, dtype=np.int64), g_count)
-    return _GroupView(
-        grp_idx,
-        grp_vertex_pos,
-        tables.group_machine[grp_idx],
-        tables.group_sizes[grp_idx],
-        g_count,
-    )
-
-
-def _choose_repair_positions(
-    rng: np.random.Generator, g_count: np.ndarray, bad: np.ndarray
-) -> np.ndarray:
-    """Flat group-row positions of one uniform group per ``bad`` vertex.
-
-    Implements the choice half of the At-Least-One-Out-Edge repair
-    (Example 10); the caller enables the rows and accounts the forced
-    synchronizations.
-    """
-    pick = (rng.random(bad.size) * g_count[bad]).astype(np.int64)
-    block_offsets = np.concatenate([[0], np.cumsum(g_count)[:-1]])
-    return block_offsets[bad] + pick
-
-
-def _scatter_multinomial(
-    rng: np.random.Generator,
-    tables: _KernelTables,
-    view: _GroupView,
-    enabled_grp: np.ndarray,
-    sv: np.ndarray,
-    k_sv: np.ndarray,
-    next_frogs: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split each vertex's K frogs uniformly over its enabled edges."""
-    enabled_counts = np.bincount(
-        view.grp_vertex_pos,
-        weights=enabled_grp * view.grp_sizes,
-        minlength=sv.size,
-    ).astype(np.int64)
-    sendable = enabled_counts > 0
-    k_send = np.where(sendable, k_sv, 0)
-    total = int(k_send.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-
-    enabled_edges = _ranges_to_indices(
-        tables.group_start[view.grp_idx[enabled_grp]],
-        view.grp_sizes[enabled_grp],
-    )
-    enabled_offsets = np.concatenate([[0], np.cumsum(enabled_counts)[:-1]])
-    frog_vertex = np.repeat(np.arange(sv.size, dtype=np.int64), k_send)
-    draw = rng.random(total)
-    pick = enabled_offsets[frog_vertex] + (
-        draw * enabled_counts[frog_vertex]
-    ).astype(np.int64)
-    chosen = enabled_edges[pick]
-    dest = tables.edge_target[chosen]
-    host = tables.edge_host[chosen]
-    # bincount beats np.add.at on the hot accumulation: one counting
-    # pass instead of per-element buffered scatter (bit-identical).
-    next_frogs += np.bincount(dest, minlength=next_frogs.size)
-    return dest, host
-
-
-def _scatter_binomial(
-    rng: np.random.Generator,
-    ps: float,
-    tables: _KernelTables,
-    view: _GroupView,
-    enabled_grp: np.ndarray,
-    sv: np.ndarray,
-    k_sv: np.ndarray,
-    next_frogs: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Paper pseudocode: Bin(K, 1/(d_out ps)) per enabled edge."""
-    on = np.flatnonzero(enabled_grp)
-    if on.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    sizes_on = view.grp_sizes[on]
-    candidate = _ranges_to_indices(tables.group_start[view.grp_idx[on]], sizes_on)
-    vertex_pos = np.repeat(view.grp_vertex_pos[on], sizes_on)
-    k_per_edge = k_sv[vertex_pos]
-    p_eff = max(ps, 1e-12)
-    prob = np.minimum(
-        1.0, 1.0 / (tables.out_degree[sv[vertex_pos]] * p_eff)
-    )
-    sent = rng.binomial(k_per_edge, prob)
-    nonzero = sent > 0
-    chosen = candidate[nonzero]
-    dest = tables.edge_target[chosen]
-    host = tables.edge_host[chosen]
-    # Weighted bincount replaces np.add.at; float64 weights are exact
-    # for any frog count below 2**53, so results stay bit-identical.
-    next_frogs += np.bincount(
-        dest, weights=sent[nonzero], minlength=next_frogs.size
-    ).astype(np.int64)
-    # Replicate per-frog host attribution for CPU/message accounting.
-    dest = np.repeat(dest, sent[nonzero])
-    host = np.repeat(host, sent[nonzero])
-    return dest, host
-
-
-class FrogWildRunner:
-    """Executes FrogWild on a prepared simulated cluster."""
 
     def __init__(
         self,
@@ -318,221 +75,31 @@ class FrogWildRunner:
         *Personalized* PageRank with that teleport vector — see
         :mod:`repro.core.personalized`.
         """
-        if start_distribution is not None:
-            start_distribution = np.asarray(start_distribution, np.float64)
-            if start_distribution.shape != (state.num_vertices,):
-                raise EngineError(
-                    "start_distribution must have one entry per vertex"
-                )
-            if start_distribution.min() < 0 or not np.isclose(
-                start_distribution.sum(), 1.0
-            ):
-                raise EngineError(
-                    "start_distribution must be a probability distribution"
-                )
-        self.start_distribution = start_distribution
-        self.state = state
-        self.config = config
-        # Distinct seed stream from the cluster components (partition,
-        # master selection) that may have received the same seed value.
-        self.rng = np.random.default_rng(
-            config.seed if config.seed is None else [104, config.seed]
-        )
-        # The mirror bitmap and kernel tables are per-ingress caches:
-        # copy-on-disable keeps fault injection (repro.faults) from
-        # leaking crashed machines into later runs on the same ingress.
-        self.synchronizer = MirrorSynchronizer(
+        super().__init__(
             state,
-            config.ps,
-            self.rng,
-            mirror_matrix=MirrorSynchronizer.shared_mirror_matrix(state),
-            copy_on_disable=True,
+            config.with_updates(sync_mode="per-lane", wire_dedupe=False),
+            [BatchQuery(start_distribution=start_distribution)],
         )
-        self.erasure = make_erasure_model(config.erasure_model)
-        self.tables = _kernel_tables(state)
-        self._masters = self.tables.masters
 
-    # ------------------------------------------------------------------
     def run(self) -> FrogWildResult:
         """Run ``iterations`` supersteps and return the estimate."""
         state = self.state
         cfg = self.config
-        n = state.num_vertices
-        if n == 0:
-            raise EngineError("cannot run FrogWild on an empty graph")
-
-        # init(): frogs born from the start law (uniform by default).
-        if self.start_distribution is None:
-            birth = self.rng.integers(0, n, size=cfg.num_frogs)
-        else:
-            birth = self.rng.choice(
-                n, size=cfg.num_frogs, p=self.start_distribution
-            )
-        frogs = np.bincount(birth, minlength=n).astype(np.int64)
-        counts = np.zeros(n, dtype=np.int64)
-
-        for step in range(cfg.iterations):
-            frogs = self._begin_superstep(step, frogs, counts)
-            active_idx = np.flatnonzero(frogs)
-            if active_idx.size == 0:
-                break
-            frogs = self._superstep(active_idx, frogs[active_idx], counts)
-            state.end_superstep(int(active_idx.size))
-
-        # Cut-off: survivors are counted where they stand (Process 15).
-        counts += frogs
-        estimate = PageRankEstimate(counts, cfg.num_frogs)
-        return FrogWildResult(estimate, self._report(), state)
-
-    # ------------------------------------------------------------------
-    def _superstep(
-        self, active_idx: np.ndarray, k_active: np.ndarray, counts: np.ndarray
-    ) -> np.ndarray:
-        """One death + sync + scatter round; returns next frog vector."""
-        state = self.state
-        cfg = self.config
-        n = state.num_vertices
-        rng = self.rng
-        tables = self.tables
-
-        # -------------------- apply(): teleport deaths ------------------
-        dead = rng.binomial(k_active, cfg.p_teleport)
-        # active_idx entries are unique, so a fancy add is exact (and
-        # cheaper than np.add.at's buffered scatter).
-        counts[active_idx] += dead
-        survivors = k_active - dead
-        state.charge_many(
-            np.bincount(
-                self._masters[active_idx],
-                weights=k_active,
-                minlength=state.num_machines,
-            ).astype(np.int64),
-            phase="apply",
-        )
-
-        moving = survivors > 0
-        sv = active_idx[moving]
-        k_sv = survivors[moving].astype(np.int64)
-        next_frogs = np.zeros(n, dtype=np.int64)
-        if sv.size == 0:
-            return next_frogs
-
-        # -------------------- <sync>: the ps patch ----------------------
-        fresh = self.synchronizer.synchronize(sv)
-
-        # Enabled out-edge groups of the scattering vertices.
-        view = _gather_groups(tables, sv)
-        enabled_grp = fresh[view.grp_vertex_pos, view.grp_machine]
-
-        enabled_per_vertex = np.bincount(
-            view.grp_vertex_pos, weights=enabled_grp, minlength=sv.size
-        ).astype(np.int64)
-        stranded = enabled_per_vertex == 0
-        if stranded.any():
-            if self.erasure.repairs_empty:
-                # At-Least-One-Out-Edge repair (Example 10): enable one
-                # uniform group each and force its synchronization.  A
-                # dangling vertex (no out-groups at all) has nothing to
-                # repair: its frogs idle in place awaiting teleportation.
-                bad = np.flatnonzero(stranded)
-                dangling = view.g_count[bad] == 0
-                if dangling.any():
-                    idle = bad[dangling]
-                    next_frogs[sv[idle]] += k_sv[idle]
-                    k_sv = k_sv.copy()
-                    k_sv[idle] = 0
-                    bad = bad[~dangling]
-                if bad.size:
-                    flat_pos = _choose_repair_positions(
-                        rng, view.g_count, bad
-                    )
-                    enabled_grp = enabled_grp.copy()
-                    enabled_grp[flat_pos] = True
-                    self.synchronizer.force_sync(
-                        sv[bad], view.grp_machine[flat_pos]
-                    )
-            else:
-                # Independent erasures: frogs idle in place this step.
-                # sv entries are unique, so the fancy add is exact.
-                next_frogs[sv[stranded]] += k_sv[stranded]
-                k_sv = k_sv.copy()
-                k_sv[stranded] = 0
-
-        # -------------------- scatter(): frog hops ----------------------
-        if cfg.scatter_mode == "multinomial":
-            dest, host = _scatter_multinomial(
-                rng, tables, view, enabled_grp, sv, k_sv, next_frogs
-            )
-        else:
-            dest, host = _scatter_binomial(
-                rng, cfg.ps, tables, view, enabled_grp, sv, k_sv, next_frogs
-            )
-
-        # CPU: one op per hopped frog on the hosting machine, one per
-        # enabled group for the mirror's scatter dispatch.
-        if dest.size:
-            ops = np.bincount(host, minlength=state.num_machines)
-        else:
-            ops = np.zeros(state.num_machines, dtype=np.int64)
-        ops += np.bincount(
-            view.grp_machine[enabled_grp], minlength=state.num_machines
-        )
-        state.charge_many(ops.astype(np.int64), phase="scatter")
-
-        # Network: combined (vertex, count) records, host -> dest master.
-        self._account_frog_messages(dest, host)
-        self._post_scatter(dest, host, next_frogs)
-        return next_frogs
-
-    # ------------------------------------------------------------------
-    # Subclass hooks (fault injection lives in repro.faults)
-    # ------------------------------------------------------------------
-    def _begin_superstep(
-        self, step: int, frogs: np.ndarray, counts: np.ndarray
-    ) -> np.ndarray:
-        """Pre-superstep hook; returns the (possibly modified) frog
-        vector.  The base runner is fault-free: identity."""
-        return frogs
-
-    def _post_scatter(
-        self, dest: np.ndarray, host: np.ndarray, next_frogs: np.ndarray
-    ) -> None:
-        """Post-scatter hook, called with the per-frog destination and
-        hosting-machine arrays after ``next_frogs`` is updated.  The
-        base runner delivers everything: no-op."""
-
-    # ------------------------------------------------------------------
-    def _account_frog_messages(self, dest: np.ndarray, host: np.ndarray) -> None:
-        """Charge combined frog records: hosting machine -> dest master."""
-        if dest.size == 0:
-            return
-        state = self.state
-        n = state.num_vertices
-        pair_keys = np.unique(host * n + dest)
-        host_u = pair_keys // n
-        dest_master = self._masters[pair_keys % n].astype(np.int64)
-        remote = host_u != dest_master
-        if not remote.any():
-            return
-        records = np.bincount(
-            host_u[remote] * state.num_machines + dest_master[remote],
-            minlength=state.num_machines**2,
-        ).reshape(state.num_machines, state.num_machines)
-        state.send_pair_matrix(records, kind="scatter")
-
-    # ------------------------------------------------------------------
-    def _report(self) -> RunReport:
-        state = self.state
-        stats = state.stats
-        cfg = self.config
-        return RunReport(
+        first_step = state.stats.num_supersteps
+        bytes_before = state.fabric.total_bytes()
+        self._execute()
+        steps = state.stats.steps[first_step:]
+        total_time = sum(step.sim_seconds for step in steps)
+        report = RunReport(
             algorithm=f"frogwild(ps={cfg.ps:g})",
             num_machines=state.num_machines,
-            supersteps=stats.num_supersteps,
-            total_time_s=stats.total_seconds(),
-            time_per_iteration_s=stats.seconds_per_step(),
-            network_bytes=state.fabric.total_bytes(),
-            cpu_seconds=state.cost_model.cpu_seconds(stats.total_cpu_ops()),
+            supersteps=len(steps),
+            total_time_s=total_time,
+            time_per_iteration_s=total_time / len(steps) if steps else 0.0,
+            network_bytes=state.fabric.total_bytes() - bytes_before,
+            cpu_seconds=state.cost_model.cpu_seconds(
+                sum(step.cpu_ops for step in steps)
+            ),
             extra={
                 "num_frogs": float(cfg.num_frogs),
                 "iterations": float(cfg.iterations),
@@ -540,6 +107,8 @@ class FrogWildRunner:
                 "replication_factor": state.replication.replication_factor(),
             },
         )
+        estimate = PageRankEstimate(self.counts[0], cfg.num_frogs)
+        return FrogWildResult(estimate, report, state)
 
 
 def run_frogwild(

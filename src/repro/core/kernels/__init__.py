@@ -1,12 +1,11 @@
 """Kernel tier selection for the batched FrogWild superstep.
 
-Three tiers sit behind the ``kernel=`` seam of
+Two tiers sit behind the ``kernel=`` seam of
 :class:`~repro.core.BatchedFrogWildRunner` and every serving backend:
 
-* ``"lane-loop"`` — the pre-fusion per-lane reference loop;
-* ``"fused"``     — the numpy lane-major fused kernel (default, and the
-  pinned reference the other tiers are regression-tested against);
-* ``"compiled"``  — Numba-jitted single-pass loops with cache-conscious
+* ``"fused"``    — the numpy lane-major fused kernel (default, and the
+  pinned reference the compiled tier is regression-tested against);
+* ``"compiled"`` — Numba-jitted single-pass loops with cache-conscious
   layout (:mod:`.compiled`, :mod:`.layout`, :mod:`.arena`), installed
   via the ``[accel]`` extra.
 
@@ -52,7 +51,7 @@ __all__ = [
     "unpack_lane_keys",
 ]
 
-KERNEL_TIERS = ("lane-loop", "fused", "compiled")
+KERNEL_TIERS = ("fused", "compiled")
 
 _warned_fallback = False
 

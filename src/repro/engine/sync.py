@@ -67,9 +67,9 @@ class MirrorSynchronizer:
         (non-``copy_on_disable``) matrix observe each other's
         :meth:`disable_machine` calls; with ``copy_on_disable`` each
         synchronizer forks privately on its first disable, so machine
-        crashes are per-run state (fault injection currently drives the
-        single-query runner only — the batched runners read the shared
-        bitmap for coin draws and do not expose a crash path).
+        crashes are per-run state (the fault runners of
+        :mod:`repro.faults` fork the batched runner's bitmap the same
+        way).
     copy_on_disable:
         Mark ``mirror_matrix`` as a read-shared structure (the
         per-ingress cache of :meth:`shared_mirror_matrix`): the first

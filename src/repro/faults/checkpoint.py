@@ -29,7 +29,7 @@ import numpy as np
 from ..core import FrogWildConfig
 from ..engine import ClusterState
 from ..errors import ConfigError
-from .runner import FaultyFrogWildRunner
+from .runner import FaultyFrogWildRunner, _frog_vector, _frontier
 from .schedule import FaultSchedule
 
 __all__ = ["CheckpointConfig", "CheckpointedFrogWildRunner"]
@@ -83,20 +83,17 @@ class CheckpointedFrogWildRunner(FaultyFrogWildRunner):
 
     # ------------------------------------------------------------------
     def _begin_superstep(
-        self, step: int, frogs: np.ndarray, counts: np.ndarray
-    ) -> np.ndarray:
+        self, step: int, frontier: tuple[np.ndarray, ...]
+    ) -> tuple[np.ndarray, ...]:
+        frogs = _frog_vector(frontier, self.state.num_vertices)
         if step % self.checkpoint.interval == 0:
             self._take_checkpoint(frogs)
 
         crashes = self.schedule.crashes_at(step)
         if not crashes:
-            return frogs
-        frogs = frogs.copy()
+            return frontier
         for crash in crashes:
-            machine = crash.machine
-            self.fault_log.crashed_machines.append(machine)
-            self.synchronizer.disable_machine(machine)
-            mastered = self.state.replication.masters_on(machine)
+            mastered = self._crash(crash.machine)
             lost = int(frogs[mastered].sum())
             self.fault_log.frogs_lost_to_crashes += lost
             if self._snapshot is None:
@@ -105,7 +102,7 @@ class CheckpointedFrogWildRunner(FaultyFrogWildRunner):
             restored = self._snapshot[mastered]
             frogs[mastered] = restored
             self.frogs_restored += int(restored.sum())
-        return frogs
+        return _frontier(frogs)
 
     # ------------------------------------------------------------------
     def _take_checkpoint(self, frogs: np.ndarray) -> None:

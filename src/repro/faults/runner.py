@@ -1,7 +1,7 @@
 """FrogWild under injected faults.
 
-:class:`FaultyFrogWildRunner` extends the stock runner through its two
-subclass hooks:
+:class:`FaultyFrogWildRunner` extends the stock runner through the two
+subclass hooks of the batched kernel it runs on:
 
 * ``_begin_superstep`` fires scheduled :class:`~repro.faults.MachineCrash`
   events — frogs mastered on the dead machine are lost (and optionally
@@ -83,41 +83,61 @@ class FaultyFrogWildRunner(FrogWildRunner):
 
     # ------------------------------------------------------------------
     def _begin_superstep(
-        self, step: int, frogs: np.ndarray, counts: np.ndarray
-    ) -> np.ndarray:
+        self, step: int, frontier: tuple[np.ndarray, ...]
+    ) -> tuple[np.ndarray, ...]:
         crashes = self.schedule.crashes_at(step)
         if not crashes:
-            return frogs
-        frogs = frogs.copy()
-        n = frogs.size
+            return frontier
+        frogs = _frog_vector(frontier, self.state.num_vertices)
         for crash in crashes:
-            machine = crash.machine
-            self.fault_log.crashed_machines.append(machine)
-            self.synchronizer.disable_machine(machine)
-            mastered = self.state.replication.masters_on(machine)
+            mastered = self._crash(crash.machine)
             lost = int(frogs[mastered].sum())
             frogs[mastered] = 0
             self.fault_log.frogs_lost_to_crashes += lost
             if crash.rebirth and lost:
                 rebirth_positions = self._fault_rng.integers(
-                    0, n, size=lost
+                    0, frogs.size, size=lost
                 )
-                frogs += np.bincount(rebirth_positions, minlength=n)
+                frogs += np.bincount(rebirth_positions, minlength=frogs.size)
                 self.fault_log.frogs_reborn += lost
-        return frogs
+        return _frontier(frogs)
+
+    def _crash(self, machine: int) -> np.ndarray:
+        """Take ``machine``'s mirrors out of the sync pool for good and
+        return the vertices it mastered."""
+        self.fault_log.crashed_machines.append(machine)
+        # Fork before writing: the bitmap is the per-ingress cache.
+        self._mirror_matrix = self._mirror_matrix.copy()
+        self._mirror_matrix[:, machine] = False
+        return self.state.replication.masters_on(machine)
 
     def _post_scatter(
-        self, dest: np.ndarray, host: np.ndarray, next_frogs: np.ndarray
-    ) -> None:
+        self, dest: np.ndarray, host: np.ndarray, frog_lane: np.ndarray
+    ) -> np.ndarray | None:
         drop = self.schedule.message_drop
         if drop is None or drop.probability == 0.0 or dest.size == 0:
-            return
-        remote = host != self._masters[dest]
+            return None
+        remote = host != self.tables.masters[dest]
         coins = self._fault_rng.random(dest.size) < drop.probability
         lost = remote & coins
-        if lost.any():
-            np.subtract.at(next_frogs, dest[lost], 1)
-            self.fault_log.frogs_dropped_in_flight += int(lost.sum())
+        self.fault_log.frogs_dropped_in_flight += int(lost.sum())
+        return ~lost
+
+
+def _frog_vector(
+    frontier: tuple[np.ndarray, ...], num_vertices: int
+) -> np.ndarray:
+    """The dense frog-count vector of a one-lane frontier."""
+    _, verts, k = frontier
+    frogs = np.zeros(num_vertices, dtype=np.int64)
+    frogs[verts] = k
+    return frogs
+
+
+def _frontier(frogs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The one-lane ``(lane, vertex, count)`` frontier of ``frogs``."""
+    verts = np.flatnonzero(frogs)
+    return np.zeros(verts.size, dtype=np.int64), verts, frogs[verts]
 
 
 def run_frogwild_with_faults(

@@ -14,7 +14,6 @@ successor of ``j``.
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterator
 
 import numpy as np
@@ -22,16 +21,6 @@ import numpy as np
 from ..errors import GraphError
 
 __all__ = ["DiGraph"]
-
-
-def _deprecated(old: str, new: str) -> None:
-    """One-release deprecation warning for the pre-store accessors."""
-    warnings.warn(
-        f"{old} is deprecated and will be removed in the next release; "
-        f"use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class DiGraph:
@@ -128,14 +117,9 @@ class DiGraph:
         """
         return {"indptr": self._indptr, "indices": self._indices}
 
-    def csr_arrays(self) -> dict[str, np.ndarray]:
-        """Deprecated alias of :meth:`csr_components` (one release)."""
-        _deprecated("DiGraph.csr_arrays()", "DiGraph.csr_components()")
-        return self.csr_components()
-
     @classmethod
     def from_csr_arrays(cls, arrays: dict[str, np.ndarray]) -> "DiGraph":
-        """Rebuild a graph from :meth:`csr_arrays` output (no copy).
+        """Rebuild a graph from :meth:`csr_components` output (no copy).
 
         Validation is skipped: the arrays come from an already-validated
         graph, and the views may be read-only shared-memory mappings.
@@ -209,20 +193,6 @@ class DiGraph:
     def _edge_array(self) -> np.ndarray:
         """All edges as an ``(m, 2)`` array, in CSR order (internal)."""
         return np.column_stack([self.edge_sources(), self._indices])
-
-    def edge_array(self) -> np.ndarray:
-        """Deprecated: all edges as ``(m, 2)`` rows, in CSR order.
-
-        Use the :class:`~repro.store.GraphStore` protocol instead —
-        :meth:`edge_keys` for the canonical sorted key stream, or
-        ``repro.store.keys_to_edges(graph.edge_keys(), n)`` when
-        ``(source, target)`` rows are needed.
-        """
-        _deprecated(
-            "DiGraph.edge_array()",
-            "DiGraph.edge_keys() / repro.store.keys_to_edges()",
-        )
-        return self._edge_array()
 
     # ------------------------------------------------------------------
     # GraphStore protocol (the in-RAM tier)

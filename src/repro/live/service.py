@@ -117,7 +117,7 @@ class LiveRankingService(RankingService):
         applies deltas to it through :meth:`refresh` / :meth:`attach`.
     kernel:
         Batch-kernel tier handed to every epoch's backend
-        (``"fused"`` / ``"lane-loop"`` / ``"compiled"``).
+        (``"fused"`` / ``"compiled"``).
     store:
         Mutually exclusive with ``graph``: serve a live
         :class:`~repro.store.GraphStore` as the churn source instead.

@@ -27,10 +27,9 @@ live layer plugs in: :class:`repro.live.EpochManager` is an
 atomically swappable backend *proxy* that lets a refreshed graph
 replace either layout between batches.  The kernel tiers plug in here
 too: both backends run the lane-major fused batch kernel by default,
-and ``kernel=`` selects either the pre-fusion ``"lane-loop"``
-reference or the Numba ``"compiled"`` tier (single-pass loops over
-int32-narrowed tables; bitwise identical to fused, falls back to it
-with a warning when numba is absent — see
+and ``kernel="compiled"`` selects the Numba tier (single-pass loops
+over int32-narrowed tables; bitwise identical to fused, falls back to
+it with a warning when numba is absent — see
 :mod:`repro.core.kernels`).  The config's ``sync_mode`` /
 ``wire_dedupe`` fields flow through ``run_batch`` unchanged — a
 sharded deployment dedupes frog records within each shard's wire.

@@ -341,8 +341,8 @@ class ProcessPoolBackend(ShardedBackend):
     :func:`~repro.core.batched.merge_shard_results` /
     ``CostLedger.merge`` machinery, so results and cost attribution are
     identical — only wall-clock parallelism differs.  The ``kernel=``
-    tier (``"fused"`` default, ``"lane-loop"`` reference, or the Numba
-    ``"compiled"`` tier from :mod:`repro.core.kernels`) is forwarded to
+    tier (``"fused"`` default, or the Numba ``"compiled"`` tier from
+    :mod:`repro.core.kernels`) is forwarded to
     every worker; workers on Numba-less hosts apply the same
     warn-once fused fallback, so a mixed fleet still returns bitwise
     identical counters.

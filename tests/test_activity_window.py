@@ -6,6 +6,7 @@ import pytest
 from repro.core import FrogWildConfig
 from repro.dynamic import ActivityWindow, DynamicDiGraph, PageRankTracker
 from repro.errors import ConfigError, GraphError
+from repro.store import keys_to_edges
 
 
 class TestValidation:
@@ -116,7 +117,9 @@ class TestDeltaStreamConsistency:
             delta = window.observe(batch, timestamp=float(t))
             live.apply(delta)
             window_edges = {tuple(r) for r in window.current_edges()}
-            live_edges = {tuple(r) for r in live.edge_array()}
+            live_edges = {
+                tuple(r) for r in keys_to_edges(live.edge_keys(), 20)
+            }
             assert window_edges == live_edges
 
     def test_feeds_a_tracker(self):

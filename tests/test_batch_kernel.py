@@ -2,13 +2,10 @@
 
 Four families of guarantees pin the fused kernel down:
 
-* **kernel equivalence** — the fused lane-major kernel is bit-identical
-  (estimates, per-lane attributed reports, physical report) to the
-  ``"lane-loop"`` reference implementation for every supported
-  configuration, and a B=1 fused batch stays bit-identical to the
-  single-query :class:`~repro.core.FrogWildRunner` (the existing
-  regression tests in ``tests/test_batched_frogwild.py`` run on the
-  fused default and pin that second leg);
+* **kernel behaviour** — stranded frogs on dangling vertices idle in
+  every runnable tier, and unknown or retired tier names are rejected
+  (the kernel's exact output is pinned by the golden digests of
+  ``tests/test_superstep_digests.py``);
 * **shared sync** (``sync_mode="shared"``) — one physical sync record
   per (vertex, mirror) per barrier *independent of B* (exact, proved on
   identical-frontier batches), per-lane attribution sums exactly to the
@@ -34,6 +31,7 @@ from repro.core import (
     FrogWildConfig,
     run_frogwild_batch,
 )
+from repro.core.kernels import available_kernels
 from repro.engine import MirrorSynchronizer, apportion_records, build_cluster
 from repro.errors import ConfigError, EngineError
 from repro.graph import twitter_like
@@ -55,76 +53,9 @@ def _run(queries, kernel="fused", machines=4, **config_kwargs):
 
 
 class TestKernelEquivalence:
-    """Fused output is pinned bit-for-bit to the lane-loop reference."""
+    """Tier behaviour; the golden digests pin the exact output."""
 
-    CONFIGS = [
-        dict(),
-        dict(ps=0.6),
-        dict(ps=0.0),
-        dict(ps=0.3, erasure_model="independent"),
-        dict(ps=0.8, scatter_mode="binomial"),
-        dict(ps=0.4, scatter_mode="binomial", erasure_model="independent"),
-    ]
-
-    @pytest.mark.parametrize("config_kwargs", CONFIGS)
-    def test_fused_matches_lane_loop_golden(self, config_kwargs):
-        queries = [
-            BatchQuery(seed=4),
-            BatchQuery(seed=5, num_frogs=700),
-            BatchQuery(seed=6, num_frogs=2200),
-        ]
-        fused = _run(queries, kernel="fused", **config_kwargs)
-        golden = _run(queries, kernel="lane-loop", **config_kwargs)
-        for lane_fused, lane_golden in zip(fused.results, golden.results):
-            np.testing.assert_array_equal(
-                lane_fused.estimate.counts, lane_golden.estimate.counts
-            )
-            assert (
-                lane_fused.report.network_bytes
-                == lane_golden.report.network_bytes
-            )
-            assert (
-                lane_fused.report.cpu_seconds == lane_golden.report.cpu_seconds
-            )
-            assert (
-                lane_fused.report.supersteps == lane_golden.report.supersteps
-            )
-        assert fused.report.network_bytes == golden.report.network_bytes
-        assert fused.report.cpu_seconds == golden.report.cpu_seconds
-        assert fused.report.total_time_s == golden.report.total_time_s
-
-    def test_mixed_per_lane_ps_matches_lane_loop(self):
-        queries = [BatchQuery(seed=s, ps=0.2 + 0.2 * s) for s in range(4)]
-        fused = _run(queries, kernel="fused", ps=0.5)
-        golden = _run(queries, kernel="lane-loop", ps=0.5)
-        for lane_fused, lane_golden in zip(fused.results, golden.results):
-            np.testing.assert_array_equal(
-                lane_fused.estimate.counts, lane_golden.estimate.counts
-            )
-            assert (
-                lane_fused.report.network_bytes
-                == lane_golden.report.network_bytes
-            )
-
-    def test_early_lane_death_matches_lane_loop(self):
-        queries = [BatchQuery(num_frogs=2, seed=s) for s in range(3)] + [
-            BatchQuery(num_frogs=3000, seed=9)
-        ]
-        fused = _run(queries, kernel="fused", iterations=40)
-        golden = _run(queries, kernel="lane-loop", iterations=40)
-        for lane_fused, lane_golden in zip(fused.results, golden.results):
-            np.testing.assert_array_equal(
-                lane_fused.estimate.counts, lane_golden.estimate.counts
-            )
-            assert (
-                lane_fused.report.supersteps == lane_golden.report.supersteps
-            )
-            assert (
-                lane_fused.report.total_time_s
-                == lane_golden.report.total_time_s
-            )
-
-    @pytest.mark.parametrize("kernel", ["fused", "lane-loop"])
+    @pytest.mark.parametrize("kernel", available_kernels())
     def test_dangling_vertices_idle_instead_of_crashing(self, kernel):
         """A frog stranded on a dangling vertex (no out-groups) has
         nothing the at-least-one repair can enable: it must idle in
@@ -184,10 +115,11 @@ class TestKernelEquivalence:
             _run([BatchQuery()], kernel="simd")
 
     def test_lane_loop_rejects_fused_only_modes(self):
-        with pytest.raises(ConfigError):
-            _run([BatchQuery()], kernel="lane-loop", sync_mode="shared")
-        with pytest.raises(ConfigError):
-            _run([BatchQuery()], kernel="lane-loop", wire_dedupe=True)
+        """The lane-loop tier is retired: it raises ConfigError naming
+        the valid tiers in every mode, the fused-only ones included."""
+        for modes in ({}, {"sync_mode": "shared"}, {"wire_dedupe": True}):
+            with pytest.raises(ConfigError, match="'fused', 'compiled'"):
+                _run([BatchQuery()], kernel="lane-loop", **modes)
 
 
 class TestSharedSync:

@@ -7,8 +7,8 @@ Three families of guarantees pin the kernel down:
   per-population cost attribution summing exactly to the shared totals;
 * **B=1 equivalence**: a single-query batch is bit-identical — estimate
   *and* report numerics — to :func:`repro.core.run_frogwild` under the
-  same seed, so the batched path can never drift from the validated
-  single-query kernel;
+  same seed, so the single-query facade reports exactly what its one
+  lane of the batched kernel computed;
 * **behaviour**: config-mixing rules, early termination, amortization.
 """
 
@@ -123,7 +123,7 @@ class TestInvariants:
 
 
 class TestSingleQueryEquivalence:
-    """B=1 batches replay the single-query runner bit for bit."""
+    """B=1 batches replay the single-query facade bit for bit."""
 
     CONFIGS = [
         dict(num_frogs=2000, iterations=4, seed=7),

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import GraphError
 from repro.graph import DiGraph, from_edges
+from repro.store import keys_to_edges
 
 
 class TestConstruction:
@@ -110,7 +111,7 @@ class TestAdjacency:
             assert np.all(src[lo:hi] == v)
 
     def test_edge_array_shape(self, diamond):
-        arr = diamond.edge_array()
+        arr = keys_to_edges(diamond.edge_keys(), diamond.num_vertices)
         assert arr.shape == (5, 2)
 
     def test_predecessors_inverse_of_successors(self, small_twitter):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster import CostModel
 from repro.core import FrogWildConfig, run_frogwild
+from repro.engine import MirrorSynchronizer, build_cluster
 from repro.errors import ConfigError
 from repro.faults import (
     FaultSchedule,
@@ -95,6 +96,26 @@ class TestFaultyRunner:
         )
         assert log.frogs_reborn == log.frogs_lost_to_crashes > 0
         assert result.estimate.total_stopped == _CONFIG.num_frogs
+
+    def test_crash_leaves_ingress_cache_clean(self, small_twitter):
+        """A crash disables the machine for its own run only: the
+        per-ingress mirror bitmap is never written, so a later stock
+        run on the same ingress equals one on a fresh ingress."""
+        state = build_cluster(small_twitter, 4, seed=0)
+        baseline = MirrorSynchronizer.shared_mirror_matrix(state).copy()
+        schedule = FaultSchedule(crashes=(MachineCrash(step=0, machine=1),))
+        run_frogwild_with_faults(small_twitter, schedule, _CONFIG, state=state)
+        np.testing.assert_array_equal(
+            MirrorSynchronizer.shared_mirror_matrix(state), baseline
+        )
+        sibling = build_cluster(
+            small_twitter, 4, seed=0, replication=state.replication
+        )
+        reused = run_frogwild(small_twitter, _CONFIG, state=sibling)
+        fresh = run_frogwild(small_twitter, _CONFIG, num_machines=4)
+        np.testing.assert_array_equal(
+            reused.estimate.counts, fresh.estimate.counts
+        )
 
     def test_crash_rejects_unknown_machine(self, small_twitter):
         schedule = FaultSchedule(crashes=(MachineCrash(step=0, machine=99),))

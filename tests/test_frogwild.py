@@ -141,6 +141,21 @@ class TestPrebuiltState:
         assert result.state is state
         assert result.report.num_machines == 3
 
+    def test_reused_state_reports_each_run_alone(self, small_twitter):
+        """A report covers its own run, not the state's whole history:
+        identical runs on one state report identical costs."""
+        state = build_cluster(small_twitter, num_machines=4, seed=0)
+        config = FrogWildConfig(num_frogs=2000, ps=0.7, seed=0)
+        first, second = (
+            run_frogwild(small_twitter, config, state=state).report
+            for _ in range(2)
+        )
+        assert first.network_bytes > 0
+        assert second.network_bytes == first.network_bytes
+        assert second.cpu_seconds == first.cpu_seconds
+        assert second.supersteps == first.supersteps == config.iterations
+        assert second.total_time_s == pytest.approx(first.total_time_s)
+
     def test_ps_zero_with_repair_still_moves(self, small_twitter):
         """ps=0: every scatter relies on the at-least-one repair."""
         result = _run(small_twitter, ps=0.0, num_frogs=2000)

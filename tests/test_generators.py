@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphError
+from repro.store import keys_to_edges
 from repro.graph import (
     chung_lu,
     complete_graph,
@@ -177,7 +178,7 @@ class TestRmat:
         from repro.graph import rmat
 
         g = rmat(scale=8, edge_factor=4, seed=4)
-        edges = g.edge_array()
+        edges = keys_to_edges(g.edge_keys(), g.num_vertices)
         loops = edges[edges[:, 0] == edges[:, 1]]
         # Any surviving self loop is a dangling repair.
         for v in loops[:, 0]:

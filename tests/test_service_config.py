@@ -56,10 +56,10 @@ class TestEquivalence:
 
     def test_normalized_config_is_exposed(self):
         service = RankingService(
-            GRAPH, CONFIG, num_machines=4, seed=7, kernel="lane-loop"
+            GRAPH, CONFIG, num_machines=4, seed=7, kernel="compiled"
         )
         try:
-            assert service.service_config.kernel == "lane-loop"
+            assert service.service_config.kernel == "compiled"
             assert service.service_config.num_machines == 4
             assert service.service_config.seed == 7
             assert service.service_config.config is CONFIG

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from repro.core.kernels.layout import plan_store_tiles, plan_tiles
 from repro.dynamic import DynamicDiGraph, GraphDelta
 from repro.errors import ConfigError, GraphError
-from repro.graph import DiGraph, from_edges, twitter_like
+from repro.graph import twitter_like
 from repro.store import (
     GraphStore,
     SegmentStore,
@@ -397,21 +397,6 @@ class TestStoreTiles:
 
 
 class TestDeprecatedReaches:
-    def test_edge_array_warns_once_per_call(self):
-        dyn = DynamicDiGraph.from_digraph(from_edges([(0, 1), (1, 2)]))
-        with pytest.deprecated_call():
-            edges = dyn.edge_array()
-        # from_edges pins dangling vertex 2 with a self-loop: 3 edges.
-        assert edges.shape == (3, 2)
-
-    def test_csr_arrays_warns_and_matches_components(self):
-        graph = from_edges([(0, 1), (1, 2), (2, 0)])
-        with pytest.deprecated_call():
-            legacy = graph.csr_arrays()
-        current = graph.csr_components()
-        assert np.array_equal(legacy["indptr"], current["indptr"])
-        assert np.array_equal(legacy["indices"], current["indices"])
-
     def test_digraph_scan_matches_reference(self, rng):
         window = Window(100, 220, machine=1, num_machines=3, salt=2)
         assert np.array_equal(

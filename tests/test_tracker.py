@@ -14,6 +14,7 @@ from repro.dynamic import (
 )
 from repro.errors import ConfigError
 from repro.graph import twitter_like
+from repro.store import keys_to_edges
 
 
 class TestStableHashPartition:
@@ -39,14 +40,18 @@ class TestStableHashPartition:
         part_a = stable_hash_partition(snap_a, 6)
         placement_a = {
             (int(u), int(v)): int(m)
-            for (u, v), m in zip(snap_a.edge_array(), part_a.edge_machine)
+            for (u, v), m in zip(
+                keys_to_edges(snap_a.edge_keys(), snap_a.num_vertices),
+                part_a.edge_machine,
+            )
         }
 
         churn = ChurnGenerator(add_rate=0.05, remove_rate=0.05, seed=0)
         dynamic.apply(churn.step(dynamic))
         snap_b = dynamic.snapshot()
         part_b = stable_hash_partition(snap_b, 6)
-        for (u, v), machine in zip(snap_b.edge_array(), part_b.edge_machine):
+        edges_b = keys_to_edges(snap_b.edge_keys(), snap_b.num_vertices)
+        for (u, v), machine in zip(edges_b, part_b.edge_machine):
             key = (int(u), int(v))
             if key in placement_a:
                 assert placement_a[key] == int(machine)
