@@ -21,11 +21,13 @@ The workload is a ring lattice (vertex ``i`` points at ``i+1 .. i+d``
 mod ``n``) built inline: its CSR is written in one pass from arange
 arithmetic and — unlike rmat — its frog traversals have *provably*
 local working sets, which is what makes the RSS bound honest rather
-than luck.  Residency is measured in a child subprocess via
-``resource.getrusage`` (peak RSS is a process-lifetime high-water
-mark, so the child does nothing but load-and-serve), against a
-baseline child that pays interpreter + imports but never builds a
-service — the delta isolates serving memory from import noise.
+than luck.  Residency is measured in a child subprocess as the
+``VmHWM`` line of ``/proc/self/status`` (peak RSS is a
+process-lifetime high-water mark, so the child does nothing but
+load-and-serve; unlike ``ru_maxrss``, ``VmHWM`` does not inherit the
+parent's peak across fork+exec), against a baseline child that pays
+interpreter + imports but never builds a service — the delta
+isolates serving memory from import noise.  Linux only.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``) shrinks the graph and asserts
 the parity/pruning/hygiene contract; the RSS and slowdown bounds are
@@ -71,10 +73,17 @@ CAP_RATIO = 4
 SLOWDOWN_BOUND = 5.0
 
 _CHILD = r"""
-import json, resource, sys
+import json, sys
 
 def peak_kb():
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # VmHWM is this process's own high-water mark.  ru_maxrss is not:
+    # on Linux it survives fork+exec, so every child would report the
+    # (much larger) pytest parent's peak and the delta would read 0.
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1])
+    raise RuntimeError("no VmHWM in /proc/self/status")
 
 # Both children import the full serving stack so the RSS delta
 # isolates what *serving* allocates, not what importing costs.

@@ -21,6 +21,15 @@ achievable — a real-run host with >= 4 cores.  Smoke mode
 scale-out contract instead: every worker participates, results are
 bitwise equal to the sharded reference, and the transport reconciles.
 
+Transport stalls: one B=64 batch is also timed on the process pool and
+on the in-process :class:`~repro.serving.ShardedBackend` (same shards,
+same queries; median of ``REPEATS`` runs each).  The kernel work is
+equal, so ``process_vs_sharded_b64`` is what the process transport
+costs on top of it.  The batch is sized so every shard's lane frames
+overflow the OS pipe buffer — a collect loop that sleeps 50 ms
+between frames read 60x here in smoke mode; a healthy transport stays
+near 1x on any core count (CI gates it at 3x).
+
 Run directly: ``python -m pytest benchmarks/bench_process_backend.py -q``.
 """
 
@@ -54,6 +63,11 @@ CONFIG = FrogWildConfig(
     seed=0,
 )
 BATCH = 4 if SMOKE else 8
+#: The B=64 transport-stall probe: small per-query budgets, but 64
+#: lanes of 20-seed queries frame several hundred KiB per shard.
+B64_CONFIG = FrogWildConfig(num_frogs=2_400, iterations=3, ps=0.8, seed=0)
+B64_SEEDS = 20
+REPEATS = 3
 
 _CACHE: dict[str, object] = {}
 
@@ -74,7 +88,20 @@ def workload():
             )
             for _ in range(BATCH)
         ]
-        _CACHE["workload"] = (graph, queries)
+        wide = [
+            RankingQuery(
+                seeds=tuple(
+                    np.sort(
+                        rng.choice(
+                            graph.num_vertices, size=B64_SEEDS, replace=False
+                        )
+                    ).tolist()
+                ),
+                k=10,
+            )
+            for _ in range(64)
+        ]
+        _CACHE["workload"] = (graph, queries, wide)
     return _CACHE["workload"]
 
 
@@ -82,8 +109,18 @@ def _overlap(a: np.ndarray, b: np.ndarray) -> float:
     return len(set(a.tolist()) & set(b.tolist())) / len(a)
 
 
+def _median_batch_s(backend, queries) -> tuple[float, object]:
+    """Median wall time of ``REPEATS`` runs of one batch (and its outcome)."""
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        outcome = backend.run_batch(B64_CONFIG, queries)
+        times.append(time.perf_counter() - start)
+    return float(np.median(times)), outcome
+
+
 def test_process_backend_scaleout(workload):
-    graph, queries = workload
+    graph, queries, wide = workload
     cpu_count = os.cpu_count() or 1
 
     local = LocalBackend(graph, num_machines=MACHINES, seed=0)
@@ -91,6 +128,7 @@ def test_process_backend_scaleout(workload):
         graph, num_shards=WORKERS, num_machines=MACHINES, seed=0
     )
     sharded_outcome = sharded.run_batch(CONFIG, queries)
+    sharded_b64_s, sharded_b64 = _median_batch_s(sharded, wide)
 
     start = time.perf_counter()
     local_outcome = local.run_batch(CONFIG, queries)
@@ -107,6 +145,12 @@ def test_process_backend_scaleout(workload):
         process_outcome = backend.run_batch(CONFIG, queries)
         process_s = time.perf_counter() - start
         transport = backend.transport_summary()
+        process_b64_s, process_b64 = _median_batch_s(backend, wide)
+        b64_transport = backend.transport_summary()
+    b64_shard_bytes = (
+        b64_transport["received_measured_bytes"]
+        - transport["received_measured_bytes"]
+    ) / (REPEATS * WORKERS)
 
     # Scale-out contract: every worker ran a share of every batch.
     assert len(process_outcome.shards) == WORKERS
@@ -129,16 +173,28 @@ def test_process_backend_scaleout(workload):
         )
     topk_overlap = float(np.mean(overlaps))
     assert topk_overlap >= 0.6
+    for process_lane, sharded_lane in zip(process_b64.lanes, sharded_b64.lanes):
+        np.testing.assert_array_equal(
+            process_lane.estimate.counts, sharded_lane.estimate.counts
+        )
+    assert b64_transport["reconciles"] == 1.0
+    # The stall probe only means something if the frames overflow the
+    # pipe buffer (64 KiB on Linux).
+    assert b64_shard_bytes > 128 * 1024, b64_shard_bytes
 
     # Measured transport bytes reconcile with the simulated pricing.
     assert transport["reconciles"] == 1.0
     assert transport["sent_measured_bytes"] > 0
 
     speedup = local_s / process_s if process_s > 0 else float("inf")
+    b64_ratio = process_b64_s / sharded_b64_s
     print(
         f"\nlocal {local_s:.3f}s  process({WORKERS} workers) "
         f"{process_s:.3f}s  speedup {speedup:.2f}x  "
         f"(host cpu_count={cpu_count})  topk overlap {topk_overlap:.2f}"
+        f"\nB=64: process {process_b64_s:.3f}s  sharded "
+        f"{sharded_b64_s:.3f}s  ratio {b64_ratio:.2f}x  "
+        f"({b64_shard_bytes / 1024:.0f} KiB framed per shard)"
     )
     record_perf(
         "process-backend-scaleout",
@@ -154,6 +210,10 @@ def test_process_backend_scaleout(workload):
             "topk_overlap_vs_local": topk_overlap,
             "transport_reconciles": transport["reconciles"],
             "transport_measured_bytes": transport["sent_measured_bytes"],
+            "process_b64_s": process_b64_s,
+            "sharded_b64_s": sharded_b64_s,
+            "process_vs_sharded_b64": b64_ratio,
+            "b64_shard_frame_bytes": b64_shard_bytes,
             "smoke": float(SMOKE),
         },
     )

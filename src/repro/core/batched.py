@@ -60,6 +60,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..arrays import sorted_unique
 from ..cluster import CostModel, EdgePartition, MessageSizeModel
 from ..engine import (
     ClusterState,
@@ -110,19 +111,6 @@ def _ranges_to_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return (
         np.repeat(starts - offsets, lengths) + np.arange(total, dtype=np.int64)
     )
-
-
-def _unique(keys: np.ndarray) -> np.ndarray:
-    """``np.unique(keys)`` by sort plus an adjacent-difference mask.
-
-    Without ``return_*`` flags numpy 2.x's ``np.unique`` takes a
-    hash-based path that is ~40x slower than sorting on the int64 key
-    arrays of this kernel; the output is identical.
-    """
-    keys = np.sort(keys)
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return keys[first]
 
 
 class _KernelTables:
@@ -619,7 +607,7 @@ class BatchedFrogWildRunner:
         else:
             # One coin per (vertex, mirror) in the union frontier: the
             # physical sync traffic is independent of the batch size.
-            union_verts = _unique(vert_sv)
+            union_verts = sorted_unique(vert_sv)
             fresh_u, synced_u = self.shared_sync.draw_fresh(union_verts)
             position = np.searchsorted(union_verts, vert_sv)
             fresh = fresh_u[position]
@@ -885,7 +873,7 @@ class BatchedFrogWildRunner:
         frog_records = np.zeros((num_machines, num_machines), dtype=np.int64)
         lane_frog = None
         if dest.size:
-            unique_keys = _unique(
+            unique_keys = sorted_unique(
                 (frog_lane * num_machines + host) * n + dest
             )
             lane_u = unique_keys // (num_machines * n)
@@ -900,7 +888,7 @@ class BatchedFrogWildRunner:
             if self.wire_dedupe:
                 # Lanes aiming at the same (host, destination) share one
                 # physical wire record; the shares below hand it back.
-                phys_keys = _unique(pair_u[remote])
+                phys_keys = sorted_unique(pair_u[remote])
                 phys_host = phys_keys // n
                 phys_master = masters[phys_keys % n].astype(np.int64)
                 frog_records = np.bincount(

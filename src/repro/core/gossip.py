@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..arrays import sorted_unique
 from ..cluster import CostModel, MessageSizeModel
 from ..engine import ClusterState, MirrorSynchronizer, RunReport, build_cluster
 from ..errors import ConfigError, EngineError
@@ -128,7 +129,7 @@ def run_gossip(
             phase="scatter",
         )
         if pushed.any():
-            pair_keys = np.unique(hosts[pushed] * n + targets[pushed])
+            pair_keys = sorted_unique(hosts[pushed] * n + targets[pushed])
             dest_master = masters[pair_keys % n].astype(np.int64)
             host_u = pair_keys // n
             remote = host_u != dest_master

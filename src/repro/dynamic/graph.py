@@ -18,6 +18,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
+from ..arrays import sorted_unique
 from ..errors import GraphError
 from ..graph import DiGraph
 from ..graph.builder import from_edges
@@ -92,7 +93,7 @@ class DynamicDiGraph:
         arr = _as_edge_array(edges)
         if arr.size and arr.max() >= self._n:
             raise GraphError("edge endpoint out of range")
-        self._keys = np.unique(arr[:, 0] * self._n + arr[:, 1])
+        self._keys = sorted_unique(arr[:, 0] * self._n + arr[:, 1])
         self._version = 0
 
     @classmethod
@@ -160,7 +161,7 @@ class DynamicDiGraph:
             return 0
         if arr.max() >= self._n:
             raise GraphError("edge endpoint out of range")
-        keys = np.unique(arr[:, 0] * self._n + arr[:, 1])
+        keys = sorted_unique(arr[:, 0] * self._n + arr[:, 1])
         fresh = keys[~np.isin(keys, self._keys, assume_unique=True)]
         if fresh.size:
             self._keys = np.sort(np.concatenate([self._keys, fresh]))
@@ -174,7 +175,7 @@ class DynamicDiGraph:
             return 0
         if arr.max() >= self._n:
             raise GraphError("edge endpoint out of range")
-        keys = np.unique(arr[:, 0] * self._n + arr[:, 1])
+        keys = sorted_unique(arr[:, 0] * self._n + arr[:, 1])
         present = np.isin(self._keys, keys, assume_unique=True)
         removed = int(present.sum())
         if removed:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..arrays import sorted_unique
 from ..errors import EngineError
 from .program import BulkVertexProgram
 from .state import ClusterState
@@ -175,7 +176,7 @@ class BSPEngine:
 
         # Signals to the same target from the same machine combine into
         # one record (PowerGraph's message combiner).
-        pair_keys = np.unique(hosts * n + targets)
+        pair_keys = sorted_unique(hosts * n + targets)
         host_u = pair_keys // n
         target_u = pair_keys % n
         dest = self._masters[target_u].astype(np.int64)

@@ -20,6 +20,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
+from ..arrays import sorted_unique
 from ..errors import GraphError
 from .digraph import DiGraph
 
@@ -137,7 +138,7 @@ def _dedup(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.nda
     if src.size == 0:
         return src, dst
     keys = src * n + dst
-    keys = np.unique(keys)
+    keys = sorted_unique(keys)
     return keys // n, keys % n
 
 

@@ -48,9 +48,15 @@ worker replies  ``("attached", epoch)``, ``("detached", epoch)``,
 ==============  =====================================================
 
 Per-lane counter records flow on the data channel tagged with the task
-id; the parent drains data and control concurrently (a worker blocked
-on a full data pipe must never deadlock against a parent blocked on
-the control pipe).  ``ping``/``pong`` is the
+id.  The parent never polls on a timer: each collect pass blocks in one
+:func:`multiprocessing.connection.wait` on the data pipe, the control
+pipe and the worker's process sentinel, then drains every buffered
+lane frame and control message before it waits again.  A worker
+blocked on a full data pipe is unblocked as soon as the parent reads,
+so the two never deadlock and a batch whose frames overflow the pipe
+buffer streams at the pipe's pace; a worker's death wakes the parent
+through its sentinel, after whatever it flushed has been read.
+``ping``/``pong`` is the
 :class:`~repro.serving.WorkerSupervisor` heartbeat; ``chaos`` is the
 fault-injection hook (:mod:`repro.traffic.chaos`): ``("chaos",
 "hang", s)`` parks the worker's control loop for ``s`` seconds and
@@ -96,6 +102,7 @@ import threading
 import time
 import traceback
 from collections import deque
+from multiprocessing.connection import wait
 from typing import Sequence
 
 import numpy as np
@@ -546,20 +553,53 @@ class ProcessPoolBackend(ShardedBackend):
         for shard in range(self.num_shards):
             self._workers.append(self._spawn_worker(shard))
 
+    def _await_ready(
+        self, worker: _Worker, pipes: list, deadline: float, doing: str
+    ) -> None:
+        """Block until one of ``pipes`` is readable; rule on death/timeout.
+
+        One :func:`multiprocessing.connection.wait` over the pipes and
+        the worker's process sentinel, so a reply wakes the parent the
+        moment it lands and a death is seen through the sentinel.  A
+        readable pipe always wins over the sentinel: a dead worker's
+        buffered replies (and finally the EOF that retires each pipe)
+        are read before the death is ruled on.  The deadline is checked
+        on entry as well, so a flood of non-progressing messages cannot
+        keep the caller looping past it.
+        """
+        remaining = deadline - time.monotonic()
+        ready = (
+            wait([*pipes, worker.process.sentinel], timeout=remaining)
+            if remaining > 0
+            else []
+        )
+        if any(pipe in ready for pipe in pipes):
+            return
+        dead = worker.process.sentinel in ready
+        raise WorkerCrashError(
+            f"shard {worker.shard} worker "
+            f"{'died' if dead else 'timed out'} {doing}",
+            shard=worker.shard,
+            epoch=self._epoch,
+            cause="died" if dead else "timeout",
+        )
+
     def _control_reply(
         self, worker: _Worker, expected: str, timeout_s: float | None = None
     ):
         """Await one control message of ``expected`` kind from a worker.
 
-        Liveness and the deadline are checked on *every* iteration —
-        including after an unexpected message — so a worker streaming
-        junk (or a stale-reply flood) stalls the parent for at most
-        ``timeout_s``, never forever.
+        Messages of other kinds (a stale pong, junk) are drained and
+        dropped without extending the deadline, so a worker streaming
+        them stalls the parent for at most ``timeout_s``, never forever.
         """
         budget = self.timeout_s if timeout_s is None else timeout_s
         deadline = time.monotonic() + budget
         while True:
-            if worker.control.poll(0.05):
+            self._await_ready(
+                worker, [worker.control], deadline, f"awaiting {expected}"
+            )
+            while worker.control.poll():
                 try:
                     message = worker.control.recv()
                 except (EOFError, OSError) as error:
@@ -578,24 +618,6 @@ class ProcessPoolBackend(ShardedBackend):
                     )
                 if message[0] == expected:
                     return message
-                # Unexpected kind (stale pong, junk): fall through to
-                # the liveness/deadline checks below.
-            if not worker.process.is_alive():
-                raise WorkerCrashError(
-                    f"shard {worker.shard} worker died awaiting "
-                    f"{expected}",
-                    shard=worker.shard,
-                    epoch=self._epoch,
-                    cause="died",
-                )
-            if time.monotonic() > deadline:
-                raise WorkerCrashError(
-                    f"shard {worker.shard} worker timed out awaiting "
-                    f"{expected}",
-                    shard=worker.shard,
-                    epoch=self._epoch,
-                    cause="timeout",
-                )
 
     def _attach_worker(self, worker: _Worker, epoch: int) -> None:
         """One worker's attach handshake for ``epoch`` (send + await)."""
@@ -835,86 +857,59 @@ class ProcessPoolBackend(ShardedBackend):
     ) -> tuple[dict, list[np.ndarray]]:
         """Drain one worker's lane frames and control result for ``task``.
 
-        Data and control are polled together: a worker blocked sending
-        a large frame unblocks as soon as the parent drains it, and an
-        error raised mid-task surfaces instead of deadlocking.  Frames
-        tagged with an older (failed) task are discarded — and do
-        *not* count as progress: only this task's frames and result
-        reset the inactivity deadline, so a stale-task flood stalls
-        the parent for at most ``timeout_s``.  The liveness/deadline
-        checks run on every non-progressing iteration; a worker that
-        died *after* flushing its reply still answers the batch (the
-        buffered pipes are drained before the death is ruled on).
+        Each pass blocks in :meth:`_await_ready` on the data pipe, the
+        control pipe and the worker's sentinel, then drains *every*
+        buffered lane frame and control message before it waits again:
+        a worker blocked sending a large frame unblocks as soon as the
+        parent reads it, and an error raised mid-task surfaces instead
+        of deadlocking.  Frames tagged with an older (failed) task are
+        discarded — and do *not* count as progress: only this task's
+        frames and result reset the inactivity deadline, so a
+        stale-task flood stalls the parent for at most ``timeout_s``.
+        Each pipe is retired on its own EOF, and a worker that died
+        *after* flushing its reply still answers the batch: buffered
+        replies are drained before the sentinel rules the death.
         """
         frames: list[np.ndarray] = []
         payload: dict | None = None
         counts_template = np.zeros(self.graph.num_vertices, dtype=np.int64)
         deadline = time.monotonic() + self.timeout_s
-        # A dead worker's pipe polls readable at EOF; the recv then
-        # raises.  Each pipe is retired individually on EOF so replies
-        # still buffered on the *other* pipe can be drained.
-        channel_open = True
-        control_open = True
-        while payload is None or len(frames) < num_lanes:
+        data = worker.channel
+        pipes = [data.connection, worker.control]
+        while True:
+            self._await_ready(worker, pipes, deadline, "mid-batch")
             progressed = False
-            if channel_open and worker.channel.poll(
-                0.0 if payload is None else 0.05
-            ):
+            while data.connection in pipes and data.poll():
                 try:
-                    kind, tag, stops, stop_counts = (
-                        worker.channel.recv_records()
-                    )
+                    kind, tag, stops, stop_counts = data.recv_records()
                 except (EOFError, OSError):
-                    channel_open = False
-                else:
-                    if tag == task and kind == "result":
-                        progressed = True
-                        counts = counts_template.copy()
-                        counts[stops] = stop_counts
-                        frames.append(counts)
-            if (
-                payload is None
-                and control_open
-                and worker.control.poll(0.05)
-            ):
+                    pipes.remove(data.connection)
+                    break
+                if tag == task and kind == "result":
+                    progressed = True
+                    counts = counts_template.copy()
+                    counts[stops] = stop_counts
+                    frames.append(counts)
+            while worker.control in pipes and worker.control.poll():
                 try:
                     message = worker.control.recv()
                 except (EOFError, OSError):
-                    control_open = False
-                else:
-                    if message[0] == "error":
-                        _, _, error, trace = message
-                        raise EngineError(
-                            f"shard {worker.shard} batch failed: "
-                            f"{error}\n{trace}"
-                        )
-                    if message[0] == "result" and message[1] == task:
-                        progressed = True
-                        payload = message[2]
+                    pipes.remove(worker.control)
+                    break
+                if message[0] == "error":
+                    _, _, error, trace = message
+                    raise EngineError(
+                        f"shard {worker.shard} batch failed: "
+                        f"{error}\n{trace}"
+                    )
+                if message[0] == "result" and message[1] == task:
+                    progressed = True
+                    payload = message[2]
+                    pipes.remove(worker.control)
+            if payload is not None and len(frames) >= num_lanes:
+                return payload, frames
             if progressed:
                 deadline = time.monotonic() + self.timeout_s
-                continue
-            if not worker.process.is_alive():
-                if (channel_open and worker.channel.poll(0.0)) or (
-                    control_open and worker.control.poll(0.0)
-                ):
-                    # Dead, but replies are still buffered: keep
-                    # draining — a fully flushed result counts.
-                    continue
-                raise WorkerCrashError(
-                    f"shard {worker.shard} worker died mid-batch",
-                    shard=worker.shard,
-                    epoch=self._epoch,
-                    cause="died",
-                )
-            if time.monotonic() > deadline:
-                raise WorkerCrashError(
-                    f"shard {worker.shard} worker timed out mid-batch",
-                    shard=worker.shard,
-                    epoch=self._epoch,
-                    cause="timeout",
-                )
-        return payload, frames
 
     def _send_run(
         self,

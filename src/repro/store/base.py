@@ -32,6 +32,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from ..arrays import sorted_unique
 from ..errors import ConfigError
 
 __all__ = [
@@ -157,7 +158,7 @@ def edges_to_keys(edges: np.ndarray, num_vertices: int) -> np.ndarray:
     edges = np.asarray(edges, dtype=np.int64)
     if edges.size == 0:
         return np.empty(0, dtype=np.int64)
-    return np.unique(edges[:, 0] * int(num_vertices) + edges[:, 1])
+    return sorted_unique(edges[:, 0] * int(num_vertices) + edges[:, 1])
 
 
 def keys_to_edges(keys: np.ndarray, num_vertices: int) -> np.ndarray:

@@ -43,6 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..arrays import sorted_unique
 from ..errors import ConfigError, GraphError
 from .base import (
     ScanStats,
@@ -383,7 +384,7 @@ class SegmentStore:
             )
         if arr.min() < 0 or arr.max() >= self._n:
             raise GraphError("edge endpoint out of range")
-        return np.unique(arr[:, 0] * self._n + arr[:, 1])
+        return sorted_unique(arr[:, 0] * self._n + arr[:, 1])
 
     def _contains(self, keys: np.ndarray) -> np.ndarray:
         """Membership of sorted unique ``keys`` in the merged view.

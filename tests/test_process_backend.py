@@ -14,8 +14,12 @@ not merely statistically close.  These tests pin down:
   epoch refreshes;
 * the shared-memory plumbing in isolation (arena roundtrip, wire codec,
   CSR / replication-table component serialization);
-* the epoch-remap handshake and the close lifecycle.
+* the epoch-remap handshake and the close lifecycle;
+* collect latency: a B=64 batch whose lane frames overflow the pipe
+  buffer is read as fast as the workers write it.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -233,6 +237,51 @@ class TestTransportReconciliation:
                     expected.lanes[0].estimate.counts,
                 )
                 assert backend.transport_summary()["reconciles"] == 1.0
+
+
+class TestCollectLatency:
+    def test_b64_batch_overflowing_the_pipe_does_not_stall(self):
+        """A batch whose lane frames overflow the OS pipe buffer must be
+        collected as fast as the worker writes them.
+
+        A collect loop that sleeps on an idle pipe between frames pays
+        that sleep for nearly every frame once the worker blocks on a
+        full pipe — at 50 ms a frame, seconds per shard for B=64.
+        """
+        graph = twitter_like(n=2000, seed=3)
+        config = FrogWildConfig(num_frogs=2_400, iterations=3, seed=5)
+        rng = np.random.default_rng(0)
+        queries = [
+            RankingQuery(
+                seeds=tuple(
+                    np.sort(rng.choice(2000, 20, replace=False)).tolist()
+                ),
+                k=10,
+            )
+            for _ in range(64)
+        ]
+        expected = ShardedBackend(
+            graph, num_shards=2, num_machines=8, seed=0
+        ).run_batch(config, queries)
+        with ProcessPoolBackend(
+            graph, num_shards=2, num_machines=8, seed=0
+        ) as backend:
+            backend.run_batch(config, queries[:1])  # warm-up
+            before = backend.transport_summary()["received_measured_bytes"]
+            start = time.perf_counter()
+            outcome = backend.run_batch(config, queries)
+            elapsed = time.perf_counter() - start
+            summary = backend.transport_summary()
+        # Shares are equal, so each shard framed about half the bytes:
+        # far more than a 64 KiB pipe buffer holds.
+        per_shard = (summary["received_measured_bytes"] - before) / 2
+        assert per_shard > 256 * 1024, per_shard
+        assert summary["reconciles"] == 1.0
+        for got, want in zip(outcome.lanes, expected.lanes):
+            np.testing.assert_array_equal(
+                got.estimate.counts, want.estimate.counts
+            )
+        assert elapsed < 1.0, f"B=64 batch took {elapsed:.2f}s"
 
 
 class TestRefreshLifecycle:

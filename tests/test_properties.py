@@ -1,10 +1,12 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
+from repro.arrays import sorted_unique
 from repro.cluster import EdgePartition, ReplicationTable
 from repro.core import FrogWildConfig, PageRankEstimate, run_frogwild, top_k_indices
 from repro.graph import from_edges
@@ -31,6 +33,44 @@ distributions = npst.arrays(
     st.integers(3, 40),
     elements=st.floats(1e-6, 1.0),
 ).map(lambda a: a / a.sum())
+
+
+# ---------------------------------------------------------------------------
+# Sort-based unique
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_unique(keys):
+    got, want = sorted_unique(keys), np.unique(keys)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+@given(
+    npst.arrays(
+        np.int64,
+        st.integers(0, 300),
+        elements=st.integers(-(2**62), 2**62) | st.integers(-20, 20),
+    )
+)
+@settings(max_examples=120, deadline=None)
+def test_sorted_unique_matches_np_unique(keys):
+    _assert_same_unique(keys)
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        np.empty(0, dtype=np.int64),
+        np.full(50, 7, dtype=np.int64),
+        np.arange(-5, 40, dtype=np.int64),
+        np.repeat(np.arange(10, dtype=np.int64), 3),
+        np.array([np.iinfo(np.int64).max, np.iinfo(np.int64).min] * 2),
+    ],
+    ids=["empty", "all-equal", "sorted", "sorted-runs", "int64-extremes"],
+)
+def test_sorted_unique_edge_cases(keys):
+    _assert_same_unique(keys)
 
 
 # ---------------------------------------------------------------------------
